@@ -1,6 +1,6 @@
 """Kernel backend selection.
 
-The stencil derivative and the flow stepping loop dominate runtime, so they
+The stencil derivative and the flow velocity dominate runtime, so they
 exist twice: as a Cython extension (``_core``) and as a pure-numpy fallback
 with identical semantics. The extension is preferred when importable.
 
@@ -43,12 +43,3 @@ def available_backends():
         pass
     return names
 
-
-def get_backend(which):
-    """Return the backend module named ``which`` ('python' or 'cython')."""
-    if which == "python":
-        return numpy_backend
-    if which == "cython":
-        from . import _core
-        return _core
-    raise ValueError(f"unknown backend {which!r}")

@@ -1,7 +1,7 @@
 """Pure-numpy implementations of the hot kernels.
 
 Semantically identical to the compiled backend in ``_core.pyx``; the two are
-cross-checked in the test suite and compared by ``krflow.benchmarks``.
+cross-checked in the test suite.
 All functions work on contiguous float64 arrays over the full node set
 (N+1 values including both endpoints).
 """
@@ -83,7 +83,8 @@ def rk4_step(phi, dt, shift, x, xm, omx, dx, n):
     """One classical Runge-Kutta step of dphi/dt = velocity(phi).
 
     Returns ``(phi_new, ok)``; ok is False when any stage leaves the
-    positive cone, in which case phi_new is None.
+    positive cone, in which case phi_new is None. The flow itself steps with
+    RKC2 (``flow.step``); this step is the tests' reference integrator.
     """
     k1, _, _ = velocity(phi, shift, x, xm, omx, dx, n)
     if k1 is None:

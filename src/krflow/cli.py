@@ -18,7 +18,7 @@ from .errors import FlowAborted, KrflowError, NotInPotentialSpace, ConfigError
 from .flow import FlowConfig, TRACE_COLUMNS, run
 from .functionals import evaluate, fubini_study_reference, futaki, make_reference
 from .geometry import ManifoldConfig, RadialPotential, make_state, sample_admissible
-from .verification import SuiteConfig, run_suite
+from .verification import DEFAULT_TOLERANCES, SuiteConfig, run_suite
 
 _SCHEMA = {
     "run": {"n", "grid_size"},
@@ -44,8 +44,6 @@ def _parse_coeffs(text):
 
 def load_config(path):
     """Parse and validate an INI config; raises ConfigError on any problem."""
-    from .verification import DEFAULT_TOLERANCES
-
     parser = configparser.ConfigParser()
     read = parser.read(path)
     if not read:
@@ -141,20 +139,28 @@ def _trace_lines(trace):
         yield ",".join(_fmt(v) for v in rec.row())
 
 
+def _flow_tolerances(trace):
+    """(residual deviation tolerance, nu monotonicity tolerance, inequality
+    floor) of a flow trace, from the suite's tolerance table."""
+    return (DEFAULT_TOLERANCES["flow_residual_constant"] * (1.0 + abs(trace.c_omega)),
+            DEFAULT_TOLERANCES["flow_nu_monotone"],
+            -DEFAULT_TOLERANCES["flow_inequality"])
+
+
 def _summary_lines(trace):
+    dev_tol, nu_tol, floor = _flow_tolerances(trace)
     dev = trace.residual_deviation()
-    dev_tol = 1e-5 * (1.0 + abs(trace.c_omega))
     nu_viol = max(0.0, trace.nu_violation())
     margin = trace.inequality_margin()
-    monotone_ok = nu_viol <= 1e-8
+    monotone_ok = nu_viol <= nu_tol
     residual_ok = dev <= dev_tol
-    inequality_ok = margin >= -1e-8
+    inequality_ok = margin >= floor
     yield f"# c_omega = {_fmt(trace.c_omega)}"
     yield f"# max_residual_deviation = {_fmt(dev)} (tolerance {_fmt(dev_tol)}): " \
           + ("PASS" if residual_ok else "FAIL")
-    yield f"# nu_monotone_violation = {_fmt(nu_viol)} (tolerance 1e-08): " \
+    yield f"# nu_monotone_violation = {_fmt(nu_viol)} (tolerance {nu_tol:g}): " \
           + ("PASS" if monotone_ok else "FAIL")
-    yield f"# inequality_margin = {_fmt(margin)} (floor -1e-08): " \
+    yield f"# inequality_margin = {_fmt(margin)} (floor {floor:g}): " \
           + ("PASS" if inequality_ok else "FAIL")
     yield f"# steps_accepted = {trace.accepted}, steps_rejected = {trace.rejected}"
 
@@ -186,7 +192,7 @@ def cmd_flow(config_path, out_path):
             fh.write(line + "\n")
         for line in _summary_lines(trace):
             fh.write(line + "\n")
-    return 0 if trace.inequality_margin() >= -1e-8 else 1
+    return 0 if trace.inequality_margin() >= _flow_tolerances(trace)[2] else 1
 
 
 def cmd_eval(config_path, phi_text):

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from krflow.cli import default_config_path, main
-from krflow.flow import TRACE_COLUMNS
+from krflow.cli import _summary_lines, default_config_path, main
+from krflow.flow import TRACE_COLUMNS, FlowRecord, FlowTrace
 
 VERIFY_FAST = """
 [run]
@@ -107,6 +107,32 @@ def test_flow_trace_format_and_exit(tmp_path):
     # records parse as a valid csv table for numpy as well
     table = np.genfromtxt(str(out_path), delimiter=",", names=True, comments="#")
     assert table.dtype.names == tuple(TRACE_COLUMNS)
+
+
+def _summary_trace(rows, c_omega):
+    records = [FlowRecord(t=t, nu=nu, e1=e1, dirichlet=d, residual=e1 - 2.0 * nu - d,
+                          scal_min=1.0, scal_max=3.0, futaki=0.0, min_ahat=0.5, min_bhat=1.0)
+               for t, nu, e1, d in rows]
+    return FlowTrace(records=records, c_omega=c_omega, accepted=12, rejected=3)
+
+
+def test_flow_summary_text_unchanged():
+    # the summary reads its tolerances from DEFAULT_TOLERANCES; the text is
+    # byte for byte what the hard-coded 1e-5, 1e-8 and -1e-8 printed
+    passing = _summary_trace([(0.0, 0.5, 0.75, 0.125), (0.25, 0.375, 0.5, 0.125)], -0.375)
+    assert "\n".join(_summary_lines(passing)) + "\n" == (
+        "# c_omega = -0.375\n"
+        "# max_residual_deviation = 0 (tolerance 1.375e-05): PASS\n"
+        "# nu_monotone_violation = 0 (tolerance 1e-08): PASS\n"
+        "# inequality_margin = 0.125 (floor -1e-08): PASS\n"
+        "# steps_accepted = 12, steps_rejected = 3\n")
+    failing = _summary_trace([(0.0, 0.5, 0.75, 0.125), (0.25, 0.625, 1.0, 1.5)], 0.0)
+    assert "\n".join(_summary_lines(failing)) + "\n" == (
+        "# c_omega = 0\n"
+        "# max_residual_deviation = 1.75 (tolerance 1.0000000000000001e-05): FAIL\n"
+        "# nu_monotone_violation = 0.083333333333333329 (tolerance 1e-08): FAIL\n"
+        "# inequality_margin = -0.25 (floor -1e-08): FAIL\n"
+        "# steps_accepted = 12, steps_rejected = 3\n")
 
 
 def test_flow_outputs_are_reproducible(tmp_path):

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from krflow._kernels import available_backends, backend_name, numpy_backend
+from krflow._kernels import backend_name, numpy_backend
 from krflow.calculus import build_grid
 
 REPO = Path(__file__).resolve().parents[1]
@@ -156,10 +156,3 @@ def test_rk4_step_rejection_agreement(grid, backends):
         assert not ok
         assert out is None
 
-
-def test_benchmark_smoke(capsys):
-    from krflow.benchmarks import run_benchmark
-    results = run_benchmark(grid_size=128, steps=5, repeat=1)
-    assert set(results) == set(available_backends())
-    out = capsys.readouterr().out
-    assert "rk4_step" in out
