@@ -84,7 +84,7 @@ def rk4_step(phi, dt, shift, x, xm, omx, dx, n):
 
     Returns ``(phi_new, ok)``; ok is False when any stage leaves the
     positive cone, in which case phi_new is None. The flow itself steps with
-    RKC2 (``flow.step``); this step is the tests' reference integrator.
+    ROS2 (``flow.step``); this step is the tests' reference integrator.
     """
     k1, _, _ = velocity(phi, shift, x, xm, omx, dx, n)
     if k1 is None:

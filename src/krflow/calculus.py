@@ -34,10 +34,6 @@ class Grid:
     omx: np.ndarray
     quad_weights: np.ndarray = field(repr=False)
 
-    @property
-    def nodes(self):
-        return self.x
-
 
 def build_grid(size):
     """Uniform grid with the given (even, >= 16) panel count."""

@@ -22,8 +22,25 @@ class DivergentIntegrand(KrflowError):
 
 
 class StepRejected(KrflowError):
-    """A flow step left the positive cone; the caller should halve dt."""
+    """A flow step left the positive cone; the caller should halve dt.
+
+    ``min_ahat`` and ``min_bhat`` are the positivity ratios' minima at the
+    state that failed (None when not known).
+    """
+
+    def __init__(self, message, min_ahat=None, min_bhat=None):
+        super().__init__(message)
+        self.min_ahat = min_ahat
+        self.min_bhat = min_bhat
 
 
 class FlowAborted(KrflowError):
-    """Adaptive stepping underflowed while trying to restore positivity."""
+    """Adaptive stepping underflowed while trying to restore positivity.
+
+    ``trace`` holds the flow's records, counts and rejections up to the
+    abort (None when not known).
+    """
+
+    def __init__(self, message, trace=None):
+        super().__init__(message)
+        self.trace = trace

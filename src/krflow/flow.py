@@ -1,14 +1,15 @@
 """Potential-form Ricci flow dphi/dt = log(volume ratio) + phi - h.
 
-The method-of-lines system is integrated on the nodal values with the damped
-second-order Runge-Kutta-Chebyshev method (RKC2; Sommeijer, Shampine &
-Verwer, J. Comput. Appl. Math. 88, 1997). The reduced problem is stiff like
-a 1D diffusion equation: the spectral estimate in ``_stable_dt`` caps
-classical explicit steps far below what accuracy needs. An s-stage RKC2 step
-is stable on a real interval [-beta(s), 0] with beta(s) ~ 0.5 s^2, so each
-step picks the smallest stage count that covers the estimate, and the step
-itself can be as long as the record spacing. Every stage is one call of the
-same velocity kernel; there are no linear solves.
+The method-of-lines system is integrated on the nodal values with the
+L-stable two-stage Rosenbrock method ROS2 (Verwer, Spee, Blom & Hundsdorfer,
+SIAM J. Sci. Comput. 20, 1999) with gamma = 1 - 1/sqrt(2). The reduced
+problem is stiff like a 1D diffusion equation: the spectral estimate in
+``_stable_dt`` caps explicit steps far below what accuracy needs. ROS2 has no such cap, so a step is as
+long as the record spacing. Each step makes two velocity evaluations and
+two linear solves with M = I - gamma dt J, where J is the velocity's exact
+Jacobian: a band of half-width 7 assembled from the stencil operators at the
+step's start state. M is factored once per step by block cyclic reduction
+(``banded``).
 
 Records fall on a time grid: record k sits at t = k * record_every * dt0,
 where dt0 is the initial step size (``dt_init`` or its default, capped by
@@ -29,7 +30,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import _kernels
+from . import _kernels, banded
+from .calculus import build_grid
 from .errors import ConfigError, FlowAborted, StepRejected
 from .functionals import (
     _dirichlet_from,
@@ -54,17 +56,16 @@ from .geometry import (
 TRACE_COLUMNS = ("t", "nu", "e1", "dirichlet", "residual",
                  "scal_min", "scal_max", "futaki", "min_Ahat", "min_Bhat")
 
-# RKC2 damping: w0 = 1 + _DAMPING / s^2. For n >= 2 the (n-1)(1-x)/q
-# convection term gives the Jacobian complex eigenvalues, which the thin
-# stability region of the classical light damping (2/13) does not hold;
-# heavy damping widens the region around the negative real axis at the cost
-# of a shorter real interval (beta(s) ~ 0.495 s^2 instead of 0.653 s^2).
-_DAMPING = 3.0
-# the real stability interval must exceed dt * lambda by this factor
-_STAGE_MARGIN = 1.2
-# step limit dt <= _IMAG_STEPS / c_im, c_im the imaginary-part bound of the
-# spectrum (see _step_limit)
-_IMAG_STEPS = 10.0
+# ROS2's diagonal coefficient. Both roots 1 -+ 1/sqrt(2) make the method
+# L-stable; the smaller has the smaller error constant, gamma (1 - gamma) -
+# 1/6 = 0.040 against -1.374, which the flow's slowly decaying low modes need
+# at steps of the record spacing: at n = 1, N = 1024, from 0.2x + 3e-4 x^2 -
+# 6.9e-3 x^3, nu's decrease to t = 0.055 in steps of 0.01 is off by 1.9e-3 of
+# itself with the larger root and by 6.7e-5 with this one
+_GAMMA = 1.0 - 1.0 / np.sqrt(2.0)
+# half-bandwidth of the velocity's Jacobian: the composed d_dx stencils reach
+# 4 columns off the diagonal inside and 7 through the 6-point edge closures
+_HALF_BAND = 7
 
 
 @dataclass
@@ -92,7 +93,6 @@ class FlowConfig:
     fit_degree: int = 8
     max_halvings: int = 60
     grow_streak: int = 16
-    stability_cap: bool = True  # stage count and step limit from the spectral estimate; off: 2 stages
     gauge_fix: bool = True  # re-zero the potential's midpoint value after each step
 
     def __post_init__(self):
@@ -135,15 +135,21 @@ class FlowRecord:
 @dataclass
 class FlowTrace:
     """Time series of functional records along one flow run, with the step
-    counts, the velocity evaluations (rejected steps included) and the
-    largest stage count used."""
+    counts, the velocity evaluations (rejected steps included), the
+    factorizations of the step matrix, and one ``(t, dt, min_ahat,
+    min_bhat)`` entry per rejected step (the mins are None when the
+    rejection did not report them)."""
 
     records: list = field(default_factory=list)
     c_omega: float = 0.0
     accepted: int = 0
-    rejected: int = 0
     velocity_evals: int = 0
-    max_stages: int = 0
+    factorizations: int = 0
+    rejections: list = field(default_factory=list)
+
+    @property
+    def rejected(self):
+        return len(self.rejections)
 
     def residual_deviation(self):
         return max(abs(rec.residual - self.c_omega) for rec in self.records)
@@ -175,8 +181,8 @@ def _stable_dt(config, r, q):
     diffusion coefficient in x is x(1-x)/r, 1.9/dx^2 bounds the squared
     symbol of the composed first-derivative stencils, 1.4/dx the first-order
     part, +2 covers the zero-order term. 2.5 / lambda is the classical RK4
-    stability limit; here it sets the record-grid unit dt0, and lambda
-    itself sets the RKC stage count (``_stage_count``).
+    stability limit. The flow's step has no stability limit; this unit only
+    caps dt0, the unit of the record grid.
     """
     g = config.grid
     n = config.n
@@ -188,83 +194,68 @@ def _stable_dt(config, r, q):
     return 2.5 / lam
 
 
-def _step_limit(config, q):
-    """Longest step whose complex eigenvalues the damped stability region
-    holds: dt <= _IMAG_STEPS / c_im, c_im = 1.4 (n-1) max((1-x)/q) / dx the
-    bound on the imaginary parts that the n >= 2 convection term produces.
-    No limit at n = 1, whose spectrum is nearly real."""
-    if config.n == 1:
-        return np.inf
+@lru_cache(maxsize=4)
+def _stencil_operators(size):
+    """The ``d_dx`` stencil D and K = D diag(x(1-x)) D on a grid of ``size``
+    panels, as bands ``band[i, k] = M[i, i + k - _HALF_BAND]``.
+
+    Read off 2 * _HALF_BAND + 1 colored probes through the kernel (columns
+    that far apart never share a row), so they are the kernel's own
+    operators. Cached by grid size: every Grid of one size has the same.
+    """
+    g = build_grid(size)
+    width = 2 * _HALF_BAND + 1
+    rows = np.arange(size + 1)
+    d_band = np.zeros((size + 1, width))
+    k_band = np.zeros((size + 1, width))
+    for color in range(width):
+        probe = np.zeros(size + 1)
+        probe[color::width] = 1.0
+        cols = (color - rows + _HALF_BAND) % width
+        d_probe = _kernels.d_dx(probe, g.dx)
+        d_band[rows, cols] = d_probe
+        k_band[rows, cols] = _kernels.d_dx(g.xm * d_probe, g.dx)
+    for band in (d_band, k_band):
+        band.setflags(write=False)
+    return d_band, k_band
+
+
+def _jacobian_band(config, total):
+    """Exact Jacobian of the velocity at the total potential ``total``:
+
+        J = diag(1/r) K + diag((n-1)(1-x)/q) D + I,
+
+    r = (n+1) Ahat and q = (n+1) Bhat, as a band of half-width _HALF_BAND.
+    """
     g = config.grid
-    c_im = 1.4 * (config.n - 1) * float((g.omx / q).max()) / g.dx
-    return _IMAG_STEPS / c_im
+    n = config.n
+    d_band, k_band = _stencil_operators(g.size)
+    u = _kernels.d_dx(total, g.dx)
+    r = _kernels.d_dx((n + 1.0) * g.x + g.xm * u, g.dx)
+    jac = k_band / r[:, None]
+    if n > 1:
+        jac += d_band * ((n - 1) * g.omx / (n + 1.0 + g.omx * u))[:, None]
+    jac[:, _HALF_BAND] += 1.0
+    return jac
 
 
-@lru_cache(maxsize=None)
-def _rkc_coefficients(s):
-    """Damped RKC2 recurrence coefficients for s >= 2 stages.
-
-    Returns ``(mu, nu, mu_t, gamma_t, beta)``: per-stage tuples indexed by
-    stage j (entries below the first used stage are unused) and the real
-    stability interval beta(s), at which the Chebyshev argument w0 + w1 z
-    reaches -1. The stability polynomial is a_s + b_s T_s(w0 + w1 z).
-    """
-    w0 = 1.0 + _DAMPING / (s * s)
-    t, t1, t2 = [1.0, w0], [0.0, 1.0], [0.0, 0.0]  # T_j, T_j', T_j'' at w0
-    for _ in range(2, s + 1):
-        t.append(2.0 * w0 * t[-1] - t[-2])
-        t1.append(2.0 * t[-2] + 2.0 * w0 * t1[-1] - t1[-2])
-        t2.append(4.0 * t1[-2] + 2.0 * w0 * t2[-1] - t2[-2])
-    w1 = t1[s] / t2[s]
-    b = [0.0, 0.0] + [t2[j] / (t1[j] * t1[j]) for j in range(2, s + 1)]
-    b[0] = b[1] = b[2]
-    a = [1.0 - b[j] * t[j] for j in range(s + 1)]
-    mu = [0.0, 0.0] + [2.0 * w0 * b[j] / b[j - 1] for j in range(2, s + 1)]
-    nu = [0.0, 0.0] + [-b[j] / b[j - 2] for j in range(2, s + 1)]
-    mu_t = [0.0, b[1] * w1] + [2.0 * w1 * b[j] / b[j - 1] for j in range(2, s + 1)]
-    gamma_t = [0.0, 0.0] + [-a[j - 1] * mu_t[j] for j in range(2, s + 1)]
-    return tuple(mu), tuple(nu), tuple(mu_t), tuple(gamma_t), (1.0 + w0) / w1
-
-
-def _stage_count(config, state, dt):
-    """Smallest s >= 2 with beta(s) >= _STAGE_MARGIN * dt * lambda, where
-    lambda = 2.5 / _stable_dt is the spectral estimate at ``state``."""
-    z = _STAGE_MARGIN * dt * 2.5 / _stable_dt(config, state.r, state.q)
-    s = 2
-    while _rkc_coefficients(s)[4] < z:
-        s += 1
-    return s
-
-
-def _rkc_step(f, y0, dt, s):
-    """The s-stage damped RKC2 update of dy/dt = f(y); calls f s times.
-
-    Works on the stage increments d_j = Y_j - Y_0, updated in place (f must
-    return a new array).
-    """
-    mu, nu, mu_t, gamma_t, _ = _rkc_coefficients(s)
-    f0 = dt * f(y0)
-    d2, d1 = 0.0, mu_t[1] * f0
-    for j in range(2, s + 1):
-        d = f(y0 + d1)
-        d *= mu_t[j] * dt
-        d += mu[j] * d1
-        d += nu[j] * d2
-        d += gamma_t[j] * f0
-        d2, d1 = d1, d
-    return y0 + d1
+def _ros2(f, solve, y0, f0, dt):
+    """One ROS2 step of dy/dt = f(y) from y0, with f0 = f(y0) and ``solve``
+    applying (I - _GAMMA dt J)^-1; calls f once and ``solve`` twice."""
+    k1 = solve(f0)
+    k2 = solve(f(y0 + dt * k1) - 2.0 * k1)
+    return y0 + dt * (1.5 * k1 + 0.5 * k2)
 
 
 def _shift_profile(ref):
     return ref.state.log_density + ref.state.phi_total + ref.potential.h
 
 
-def step(ref, phi, dt, representation="nodal", fit_degree=8, stages=None, trace=None):
-    """One damped RKC2 step from the relative potential ``phi``.
+def step(ref, phi, dt, representation="nodal", fit_degree=8, trace=None):
+    """One ROS2 step from the relative potential ``phi``.
 
-    ``stages`` defaults to the stage rule (``_stage_count``) on the spectral
-    estimate at ``phi``. When a ``trace`` is given, the step adds its
-    velocity evaluations and stage count to it. Raises StepRejected when any
+    When a ``trace`` is given, the step adds its velocity evaluations and
+    factorizations to it. Raises StepRejected when the start state, the
     stage or the result leaves the positive cone; the caller is expected to
     halve dt and retry. Returns the updated relative potential (nodal array,
     or RadialPotential when the polynomial representation is requested).
@@ -272,15 +263,12 @@ def step(ref, phi, dt, representation="nodal", fit_degree=8, stages=None, trace=
     g = ref.grid
     n = ref.config.n
     total = ref.state.phi_total + _potential_values(phi, g)
-    if stages is None:
-        stages = _stage_count(ref.config, state_from_total(ref.config, total), dt)
     shift = _shift_profile(ref)
-    if trace is not None:
-        trace.max_stages = max(trace.max_stages, stages)
 
     def rejected(min_a, min_b):
         return StepRejected(f"positivity lost at dt = {dt:.3e} "
-                            f"(min Ahat {min_a:.3g}, min Bhat {min_b:.3g})")
+                            f"(min Ahat {min_a:.3g}, min Bhat {min_b:.3g})",
+                            min_ahat=min_a, min_bhat=min_b)
 
     def velocity(values):
         if trace is not None:
@@ -290,7 +278,14 @@ def step(ref, phi, dt, representation="nodal", fit_degree=8, stages=None, trace=
             raise rejected(min_a, min_b)
         return out
 
-    new_total = _rkc_step(velocity, total, dt, stages)
+    f0 = velocity(total)
+    system = _jacobian_band(ref.config, total)
+    system *= -_GAMMA * dt
+    system[:, _HALF_BAND] += 1.0
+    levels = banded.factor(system)
+    if trace is not None:
+        trace.factorizations += 1
+    new_total = _ros2(velocity, lambda v: banded.solve(levels, v), total, f0, dt)
     _, min_a, min_b = _kernels.log_density(new_total, g.x, g.xm, g.omx, g.dx, n)
     if not (min_a > 0.0 and min_b > 0.0):
         raise rejected(min_a, min_b)
@@ -338,15 +333,13 @@ def run(config):
     trace.records.append(_record(ref, state, 0.0))
 
     dt0 = config.dt_init if config.dt_init is not None else default_dt_init(g)
-    if config.stability_cap:
-        dt0 = min(dt0, _stable_dt(manifold, state.r, state.q))
+    dt0 = min(dt0, _stable_dt(manifold, state.r, state.q))
     spacing = config.record_every * dt0
     dt = spacing
     t = 0.0
     k = 1  # index of the next record time
     streak = 0
     halvings = 0
-    stages = 2
     t_end = config.t_max * (1.0 - 1e-12)
     while t < t_end:
         t_next = k * spacing
@@ -355,20 +348,18 @@ def run(config):
         remaining = t_next - t
         # land on the record time instead of leaving a roundoff-sized sliver
         dt_step = remaining if remaining <= dt * (1.0 + 1e-9) else dt
-        if config.stability_cap:
-            dt_step = min(dt_step, _step_limit(manifold, state.q))
-            stages = _stage_count(manifold, state, dt_step)
         try:
             new = step(ref, rel, dt_step, config.representation, config.fit_degree,
-                       stages=stages, trace=trace)
-        except StepRejected:
-            trace.rejected += 1
+                       trace=trace)
+        except StepRejected as exc:
+            trace.rejections.append((t, dt_step, exc.min_ahat, exc.min_bhat))
             halvings += 1
             dt = 0.5 * dt_step
             streak = 0
             if halvings > config.max_halvings or dt < 1e-14:
                 raise FlowAborted(
-                    f"dt underflow at t = {t:.6g} after {halvings} consecutive halvings")
+                    f"dt underflow at t = {t:.6g} after {halvings} consecutive halvings",
+                    trace=trace)
             continue
         halvings = 0
         rel = _potential_values(new, g)
@@ -379,7 +370,7 @@ def run(config):
             # derivative-heavy record columns
             rel = rel - rel[g.size // 2]
         landed = dt_step >= remaining
-        if landed or config.stability_cap:  # the last step lands on t_max
+        if landed:  # the last step lands on t_max
             state = state_from_total(manifold, base + rel)
         t = t_next if landed else t + dt_step
         trace.accepted += 1

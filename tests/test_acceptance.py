@@ -145,8 +145,8 @@ def test_criterion_03_flow_behavior(long_flow):
         3, "flow behavior", ok,
         f"nu viol {nu_viol:.1e}, residual dev {dev:.1e} (tol {dev_tol:.1e}), "
         f"final scal spread {scal_spread:.1e}, runtime {elapsed:.0f}s "
-        f"({trace.velocity_evals} velocity evaluations, {trace.accepted} steps, "
-        f"up to {trace.max_stages} stages)")
+        f"({trace.velocity_evals} velocity evaluations, {trace.factorizations} "
+        f"factorizations, {trace.accepted} steps, {trace.rejected} rejections)")
 
 
 def test_criterion_04_variational_identities():

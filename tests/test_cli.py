@@ -113,7 +113,8 @@ def _summary_trace(rows, c_omega):
     records = [FlowRecord(t=t, nu=nu, e1=e1, dirichlet=d, residual=e1 - 2.0 * nu - d,
                           scal_min=1.0, scal_max=3.0, futaki=0.0, min_ahat=0.5, min_bhat=1.0)
                for t, nu, e1, d in rows]
-    return FlowTrace(records=records, c_omega=c_omega, accepted=12, rejected=3)
+    return FlowTrace(records=records, c_omega=c_omega, accepted=12,
+                     rejections=[(0.125, 0.25, 0.5, -0.25)] * 3)
 
 
 def test_flow_summary_text_unchanged():

@@ -1,18 +1,24 @@
 import numpy as np
 import pytest
 
-from krflow import _kernels
+import os
+import subprocess
+import sys
+
+import krflow
+from krflow import _kernels, banded, flow
 from krflow.calculus import build_grid
 from krflow.errors import ConfigError, FlowAborted, StepRejected
 from krflow.flow import (
     FlowConfig,
     TRACE_COLUMNS,
+    _GAMMA,
+    _HALF_BAND,
+    _jacobian_band,
     _record,
-    _rkc_step,
+    _ros2,
     _shift_profile,
     _stable_dt,
-    _stage_count,
-    _step_limit,
     c_omega_estimate,
     default_dt_init,
     run,
@@ -23,6 +29,8 @@ from krflow.geometry import ManifoldConfig, RadialPotential, make_state, state_f
 
 ZERO = RadialPotential((0.0,))
 TILT = RadialPotential((0.0, 0.2))
+# the positivity minima the patched velocity kernel reports (see _cone_exit)
+FAILED_MINS = (-0.5, 0.25)
 
 
 @pytest.fixture(scope="module")
@@ -77,7 +85,7 @@ def test_fixed_point_is_stationary(small_config):
 
 
 def test_step_richardson_order(small_config):
-    # phi + dt v(phi) differs from the second-order RKC2 update by O(dt^2)
+    # phi + dt v(phi) differs from the second-order ROS2 update by O(dt^2)
     ref = fubini_study_reference(small_config)
     g = small_config.grid
     from krflow.functionals import flow_velocity
@@ -91,16 +99,58 @@ def test_step_richardson_order(small_config):
     assert 3.0 < ratio < 5.0
 
 
-def test_step_rejects_large_dt(small_config):
-    # two stages cover the real interval [-beta(2), 0], beta(2) ~ 1.6, far
-    # short of dt * lambda at dt = 100: the step leaves the positive cone;
-    # with the stages of the stage rule the same state takes a step of a
-    # typical record spacing
+def test_step_accuracy_at_record_spacing():
+    # steps of 0.01 to t = 0.055 from 0.2x plus small x^2, x^3 terms (the
+    # shape of the benchmark's flow): nu's decrease matches a run with
+    # 16x shorter steps to 7.3e-5 of itself (measured). This is what
+    # gamma = 1 - 1/sqrt(2) buys; the other L-stable root misses by 2.1e-3
+    config = ManifoldConfig(n=1, grid=build_grid(256))
+    initial = RadialPotential((0.0, 0.2, 3e-4, -6.9e-3))
+    drops = []
+    for record_every in (1000, 1000 // 16):
+        trace = run(FlowConfig(manifold=config, initial=initial, t_max=0.055,
+                               dt_init=1e-5, record_every=record_every))
+        drops.append(trace.records[0].nu - trace.records[-1].nu)
+    assert trace.accepted > 80
+    assert abs(drops[0] - drops[1]) <= 5e-4 * drops[1]
+
+
+def _cone_exit(monkeypatch, start, stop, longest=0.0):
+    """Make the velocity kernel report a cone exit (min Ahat and min Bhat
+    FAILED_MINS) in every step longer than ``longest`` that overlaps the
+    flow-time window (start, stop). Flow time is the sum of the steps that
+    ``flow.step`` accepted, as ``run`` takes them."""
+    clock = {"t": 0.0, "dt": 0.0}
+    real_step, real_velocity = flow.step, _kernels.velocity
+
+    def timed_step(ref, phi, dt, *args, **kwargs):
+        clock["dt"] = dt
+        out = real_step(ref, phi, dt, *args, **kwargs)
+        clock["t"] += dt
+        return out
+
+    def velocity(*args):
+        t, dt = clock["t"], clock["dt"]
+        if dt > longest and t < stop and t + dt > start:
+            return (None,) + FAILED_MINS
+        return real_velocity(*args)
+
+    monkeypatch.setattr(flow, "step", timed_step)
+    monkeypatch.setattr(_kernels, "velocity", velocity)
+
+
+def test_step_rejects_large_dt(small_config, monkeypatch):
+    # ROS2 is L-stable: a step of dt = 100 from 0.2x stays in the positive
+    # cone. Inside a window where the velocity kernel reports a cone exit,
+    # the same step raises StepRejected with the minima that failed
     ref = fubini_study_reference(small_config)
-    with pytest.raises(StepRejected):
-        step(ref, TILT, 100.0, stages=2)
-    out = step(ref, TILT, 0.01)
+    out = step(ref, TILT, 100.0)
     assert make_state(small_config, out).ahat.min() > 0.0
+    _cone_exit(monkeypatch, 0.0, 1.0)
+    with pytest.raises(StepRejected) as info:
+        flow.step(ref, TILT, 100.0)
+    assert (info.value.min_ahat, info.value.min_bhat) == FAILED_MINS
+    assert "min Ahat -0.5" in str(info.value)
 
 
 def test_step_polynomial_representation(small_config):
@@ -111,34 +161,64 @@ def test_step_polynomial_representation(small_config):
     assert np.abs(out.values(small_config.grid) - nodal).max() < 1e-10
 
 
-def test_run_rejection_and_halving(small_config):
-    # without the stability cap every step has two stages and the record
-    # spacing dt is unstable; the growing oscillation trips the positivity
-    # check within a few steps and the rejection loop halves dt back under
-    # the two-stage limit, where (growth off, so dt stays there) the run
-    # recovers
+def test_run_rejection_and_halving(small_config, monkeypatch):
+    # inside the window (0.1025, 0.2025) only steps of at most h / 4 keep
+    # positivity: the run halves the record spacing h twice to pass it, grows
+    # back and is cut again until it leaves the window, then steps at h. Each
+    # rejection is logged with its time, step and the minima that failed,
+    # and the trajectory stays that of the unpatched run up to the step
+    # error that the window's shorter steps reduce (2.5e-5 of nu, measured)
+    h = 0.01
     cfg = FlowConfig(manifold=small_config, initial=TILT, t_max=0.5,
-                     record_every=1, dt_init=0.002, stability_cap=False,
-                     grow_streak=10 ** 9)
+                     record_every=100, dt_init=h / 100)
+    plain = run(cfg)
+    _cone_exit(monkeypatch, 0.1025, 0.2025, longest=h / 4)
     trace = run(cfg)
-    assert trace.rejected > 0
-    assert trace.max_stages == 2
-    # a rejected step stops at the stage that left the cone
-    assert 2 * trace.accepted + trace.rejected <= trace.velocity_evals \
-        <= 2 * (trace.accepted + trace.rejected)
+    assert trace.rejected == len(trace.rejections) > 2
+    np.testing.assert_allclose(trace.rejections[:2], [(0.1, h) + FAILED_MINS,
+                                                      (0.1, h / 2) + FAILED_MINS], atol=1e-12)
+    for t, dt, min_a, min_b in trace.rejections:
+        assert 0.1 - 1e-12 <= t < 0.2025 and dt > h / 4
+    # a rejected step stops at its first velocity evaluation, before the
+    # factorization
+    assert trace.velocity_evals == 2 * trace.accepted + trace.rejected
+    assert trace.factorizations == trace.accepted > plain.accepted
     assert [rec.t for rec in trace.records] == pytest.approx(
-        [0.002 * k for k in range(251)], abs=1e-12)
+        [h * k for k in range(51)], abs=1e-12)
     assert trace.min_positivity() > 0.0
-    first, last = trace.records[0], trace.records[-1]
-    assert (last.nu - first.nu) / (1.0 + abs(first.nu)) <= 1e-8
+    assert trace.nu_violation() <= 1e-8
+    for rec, expected in zip(trace.records, plain.records):
+        assert rec.nu == pytest.approx(expected.nu, rel=2e-4)
 
 
-def test_run_aborts_on_dt_underflow(small_config):
+def test_run_aborts_on_dt_underflow(small_config, monkeypatch):
+    # with max_halvings = 0 the first rejection aborts the run, and the error
+    # carries the trace up to the abort
+    h = 0.01
+    _cone_exit(monkeypatch, 0.1025, 0.2025, longest=h / 4)
     cfg = FlowConfig(manifold=small_config, initial=TILT, t_max=0.5,
-                     record_every=1, dt_init=0.002, stability_cap=False,
-                     max_halvings=0)
-    with pytest.raises(FlowAborted):
+                     record_every=100, dt_init=h / 100, max_halvings=0)
+    with pytest.raises(FlowAborted) as info:
         run(cfg)
+    partial = info.value.trace
+    assert [rec.t for rec in partial.records] == pytest.approx(
+        [h * k for k in range(11)], abs=1e-12)
+    assert partial.accepted == 10
+    np.testing.assert_allclose(partial.rejections, [(0.1, h) + FAILED_MINS], atol=1e-12)
+
+
+def test_run_aborts_where_no_step_passes(small_config, monkeypatch):
+    # a window that no step length passes: the run creeps up to its start in
+    # ever shorter steps, and halving there runs until dt < 1e-14
+    h = 0.01
+    _cone_exit(monkeypatch, 0.1025, 0.2025)
+    cfg = FlowConfig(manifold=small_config, initial=TILT, t_max=0.5,
+                     record_every=100, dt_init=h / 100)
+    with pytest.raises(FlowAborted, match="dt underflow at t = 0.1025 ") as info:
+        run(cfg)
+    partial = info.value.trace
+    assert len(partial.records) == 11
+    assert partial.rejections[-1][1] < 2e-14
 
 
 def test_short_flow_invariants(small_trace):
@@ -203,13 +283,9 @@ def test_polynomial_representation_run(small_config):
 
 def test_dt_growth_respects_cap(small_config, monkeypatch):
     # a tiny dt_init refines the record grid, not the step: steps run at the
-    # record spacing and the stage count (not the step) absorbs the
-    # stiffness, following the stage rule. Three forced rejections halve dt
-    # to spacing / 8; every grow_streak accepted steps it grows by
-    # 1 / dt_safety, capped at the spacing, and steps are cut to land on the
-    # record times
-    from krflow import flow
-
+    # record spacing. Three forced rejections halve dt to spacing / 8; every
+    # grow_streak accepted steps it grows by 1 / dt_safety, capped at the
+    # spacing, and steps are cut to land on the record times
     sizes = []
     real_step = flow.step
 
@@ -231,23 +307,9 @@ def test_dt_growth_respects_cap(small_config, monkeypatch):
     assert trace.accepted == len(sizes) - 3
     assert [rec.t for rec in trace.records] == pytest.approx(
         [h * k for k in range(51)], abs=1e-12)
-    state = make_state(small_config, TILT)
-    assert _stage_count(small_config, state, 0.9 * h) <= trace.max_stages \
-        <= _stage_count(small_config, state, 1.1 * h)
-    assert trace.velocity_evals <= trace.accepted * trace.max_stages
-
-
-def test_step_limit_caps_n3_steps():
-    # at n >= 2 steps longer than _step_limit are split even when the
-    # record spacing is longer
-    config = ManifoldConfig(n=3, grid=build_grid(128))
-    trace = run(FlowConfig(manifold=config, initial=TILT, t_max=0.5,
-                           record_every=10000, dt_init=1e-4))
-    limit = _step_limit(config, make_state(config, TILT).q)
-    assert limit < 0.5
-    assert trace.accepted >= np.ceil(0.5 / (1.1 * limit))
-    assert len(trace.records) == 2
-    assert trace.rejected == 0
+    # the forced rejections raise before the step evaluates anything
+    assert trace.velocity_evals == 2 * trace.accepted
+    assert trace.factorizations == trace.accepted
 
 
 def _fd_jacobian(ref, phi, h=1e-6):
@@ -266,34 +328,108 @@ def _fd_jacobian(ref, phi, h=1e-6):
     return jac, total
 
 
+def _dense(band):
+    m = band.shape[0]
+    out = np.zeros((m, m))
+    for k in range(band.shape[1]):
+        offset = k - _HALF_BAND
+        rows = np.arange(max(0, -offset), min(m, m - offset))
+        out[rows, rows + offset] = band[rows, k]
+    return out
+
+
+@pytest.mark.parametrize("n", (1, 2, 3))
+def test_jacobian_matches_fd(n):
+    # the assembled band is the velocity's whole Jacobian: the central
+    # differences close on it at their own second order (100x per 10x in the
+    # probe step, down to 1e-8 of the scale at step 1e-7), and no entry of
+    # theirs falls outside the band (the 6-point edge closures reach 7
+    # columns)
+    config = ManifoldConfig(n=n, grid=build_grid(128))
+    ref = fubini_study_reference(config)
+    outside = np.abs(np.subtract.outer(np.arange(129), np.arange(129))) > _HALF_BAND
+    for phi in (TILT, RadialPotential((0.0, 0.2, 0.1))):
+        gaps = []
+        for h in (1e-6, 1e-7):
+            fd, total = _fd_jacobian(ref, phi, h)
+            exact = _dense(_jacobian_band(config, total))
+            scale = np.abs(fd).max()
+            gaps.append(np.abs(exact - fd).max() / scale)
+            assert np.abs(fd[outside]).max() <= 1e-12 * scale
+        assert gaps[1] <= 1e-7
+        assert gaps[0] / gaps[1] > 50.0
+        assert exact[0, _HALF_BAND] != 0.0 and exact[-1, -1 - _HALF_BAND] != 0.0
+
+
+@pytest.mark.parametrize("size", (16, 128, 134, 256, 512))
+def test_block_solve_matches_dense_solve(size):
+    # block cyclic reduction on I - c J against LAPACK for c = gamma dt from
+    # 1e-4 to 10. N + 1 = 135 nodes (size 134) fill 15 blocks of 9 exactly;
+    # every other size pads with identity rows. c = 1 is left out: the
+    # constant mode (J 1 = 1) makes I - J singular
+    rng = np.random.default_rng(size)
+    for n in (1, 3):
+        config = ManifoldConfig(n=n, grid=build_grid(size))
+        ref = fubini_study_reference(config)
+        total = ref.state.phi_total + RadialPotential((0.0, 0.2, 0.1)).values(config.grid)
+        jac = _jacobian_band(config, total)
+        for c in np.geomspace(1e-4, 10.0, 7):
+            system = -c * jac
+            system[:, _HALF_BAND] += 1.0
+            matrix = _dense(system)
+            rhs = rng.standard_normal(size + 1)
+            x = banded.solve(banded.factor(system), rhs)
+            expected = np.linalg.solve(matrix, rhs)
+            residual = np.abs(matrix @ x - rhs).max()
+            norm = np.abs(matrix).sum(axis=1).max()
+            assert residual <= 1e-12 * norm * np.abs(x).max(), (n, c)
+            assert np.abs(x - expected).max() <= 1e-10 * np.abs(expected).max(), (n, c)
+
+
+def test_block_layout_sizes():
+    # p = 2^k - 1 blocks of 7 to 16 rows, covering every node
+    for size in (17, 129, 135, 257, 513, 1025, 2049, 4097):
+        p, b, _ = banded.block_layout(size, _HALF_BAND)
+        assert p + 1 & p == 0 and _HALF_BAND <= b <= banded.MAX_BLOCK
+        assert p * b >= size > (p // 2) * banded.MAX_BLOCK
+
+
 @pytest.mark.parametrize("n", (2, 3))
 @pytest.mark.parametrize("size", (256, 512))
-def test_stage_rule_is_stable_on_jacobian(n, size):
-    # |P_s(dt lambda)| over the eigenvalues of the velocity's Jacobian, for
-    # every step from dt0 up to criterion 3's record spacing (1000 dt0), cut
-    # by the step limit and with s from the stage rule: the step may grow
-    # no mode faster than the exact flow does (the constant gauge mode and
-    # the near-automorphism mode grow; the rest must not)
+def test_ros2_is_stable_on_jacobian(n, size):
+    # |R(dt lambda)| over the eigenvalues of the velocity's Jacobian, with R
+    # the step's own update on y' = lambda y, for steps from dt0 up to
+    # criterion 3's record spacing (1000 dt0) and beyond (10 to 1e4). The
+    # step grows no mode that the exact flow damps. The few modes the exact
+    # flow grows (the constant gauge mode, which run removes, and modes near
+    # it) the step grows by at most its local error beyond e^z, (gamma
+    # (1 - gamma) - 1/6) z^3 ~ 0.04 z^3, up to 1000 dt0; R's pole at
+    # z = 1/gamma ~ 3.4 lies beyond that
     config = ManifoldConfig(n=n, grid=build_grid(size))
     ref = fubini_study_reference(config)
     for phi in (TILT, RadialPotential((0.0, 0.2, 0.1))):
         jac, total = _fd_jacobian(ref, phi)
         eig = np.linalg.eigvals(jac)
+        growing = eig.real > 0.0
+        assert 1 <= growing.sum() <= 3 and eig.real.max() < 1.0 + 1e-6
         state = state_from_total(config, total)
-        lam = 2.5 / _stable_dt(config, state.r, state.q)
-        dt0 = min(default_dt_init(config.grid), 2.5 / lam)
-        for dt in np.geomspace(dt0, 1000.0 * dt0, 13):
-            dt = min(dt, _step_limit(config, state.q))
+        dt0 = min(default_dt_init(config.grid), _stable_dt(config, state.r, state.q))
+        accurate = np.geomspace(dt0, 1000.0 * dt0, 13)
+        for dt in np.concatenate((accurate, np.geomspace(10.0, 1e4, 4))):
             z = dt * eig
-            amplification = np.abs(_rkc_step(lambda y: z * y, np.ones_like(z), 1.0,
-                                             _stage_count(config, state, dt)))
-            bound = np.maximum(1.0, np.abs(np.exp(z)))
-            assert (amplification - bound).max() <= 1e-9, (phi, dt)
+            amplification = np.abs(_ros2(lambda y: z * y, lambda v: v / (1.0 - _GAMMA * z),
+                                         np.ones_like(z), z, 1.0))
+            assert (amplification[~growing] - 1.0).max() <= 1e-9, (phi, dt)
+            if dt <= accurate[-1]:
+                exact = np.abs(np.exp(z[growing]))
+                excess = amplification[growing] - exact
+                assert (excess - 0.1 * np.abs(z[growing]) ** 3 * exact).max() <= 1e-9, (phi, dt)
 
 
 def test_long_flow_n3_meets_criterion_3():
-    # criterion 3's gates on a long n = 3 flow, where the convection term's
-    # complex eigenvalues need the damping and the step limit
+    # criterion 3's gates on a long n = 3 flow, where the convection term
+    # gives the Jacobian complex eigenvalues (ROS2 is A-stable, so the step
+    # still runs at the record spacing)
     config = ManifoldConfig(n=3, grid=build_grid(512))
     trace = run(FlowConfig(manifold=config, initial=TILT, t_max=10.0, record_every=1000))
     final = trace.records[-1]
@@ -307,9 +443,9 @@ def test_long_flow_n3_meets_criterion_3():
 
 
 @pytest.mark.parametrize("n", (1, 2, 3))
-def test_rkc_matches_rk4(n):
+def test_ros2_matches_rk4(n):
     # the same flow by classical RK4 at the stability cap (the cap re-estimated
-    # at each record, each step cut to land on the RKC trace's record times)
+    # at each record, each step cut to land on the ROS2 trace's record times)
     config = ManifoldConfig(n=n, grid=build_grid(512))
     g = config.grid
     trace = run(FlowConfig(manifold=config, initial=TILT, t_max=0.5, record_every=100))
@@ -331,3 +467,19 @@ def test_rkc_matches_rk4(n):
         for name in ("scal_min", "scal_max"):
             assert getattr(rec, name) == pytest.approx(getattr(expected, name), abs=1e-4), name
     assert len(trace.records) > 10
+
+
+def test_flow_does_not_import_scipy():
+    # scipy would cost the flow 28-52 MiB of peak memory and 0.3-0.7 s of
+    # import time (scipy.linalg, scipy.integrate); the step's banded solves
+    # are plain numpy, and this keeps them so
+    code = ("import sys, krflow\n"
+            "config = krflow.FlowConfig(manifold=krflow.ManifoldConfig(\n"
+            "    n=2, grid=krflow.build_grid(64)),\n"
+            "    initial=krflow.RadialPotential((0.0, 0.2)), t_max=0.05)\n"
+            "assert krflow.run(config).accepted > 0\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(krflow.__file__))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"
