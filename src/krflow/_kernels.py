@@ -1,14 +1,15 @@
-"""Pure-numpy implementations of the hot kernels.
+"""The hot kernels: the stencil derivative, the metric profiles and the flow
+velocity.
 
-Semantically identical to the compiled backend in ``_core.pyx``; the two are
-cross-checked in the test suite.
-All functions work on contiguous float64 arrays over the full node set
-(N+1 values including both endpoints).
+``profiles`` is the one derivation of the metric profiles from a total
+potential; the state build, the flow velocity and the flow's Jacobian all
+read it. All functions work on contiguous float64 arrays over the full node
+set (N+1 values including both endpoints).
 """
 
-import numpy as np
+from typing import NamedTuple
 
-name = "python"
+import numpy as np
 
 
 def d_dx(values, dx, out=None):
@@ -43,40 +44,55 @@ def d_dx(values, dx, out=None):
     return out
 
 
-def log_density(phi, x, xm, omx, dx, n):
-    """Log ratio of the metric volume density against the background.
+class Profiles(NamedTuple):
+    """Metric profiles of one total potential (see ``geometry``)."""
 
-    Returns ``(logrho, min_ahat, min_bhat)``; ``logrho`` is None when the
-    state leaves the positive cone (the mins still report how far).
-    """
+    u: np.ndarray  # phi'(x)
+    b: np.ndarray  # B = (n+1) x + x(1-x) u
+    r: np.ndarray  # dB/dx
+    q: np.ndarray  # (n+1) + (1-x) u
+    ahat: np.ndarray  # r / (n+1)
+    bhat: np.ndarray  # q / (n+1)
+    min_ahat: float
+    min_bhat: float
+    log_density: np.ndarray | None  # log volume ratio; None off the cone
+
+
+def profiles(total, x, xm, omx, dx, n):
+    """Profiles of the metric with the background-relative potential
+    ``total``; ``log_density`` is None when the state leaves the positive
+    cone (the minima still report how far)."""
     np1 = n + 1.0
-    u = d_dx(phi, dx)
+    u = d_dx(total, dx)
     b = np1 * x + xm * u
     r = d_dx(b, dx)
+    q = np1 + omx * u
     ahat = r / np1
-    bhat = 1.0 + omx * u / np1
+    bhat = q / np1
     min_a = float(ahat.min())
     min_b = float(bhat.min())
-    if not (min_a > 0.0 and min_b > 0.0):
-        return None, min_a, min_b
-    logrho = np.log(ahat)
-    if n > 1:
-        logrho += (n - 1) * np.log(bhat)
-    return logrho, min_a, min_b
+    log_density = None
+    if min_a > 0.0 and min_b > 0.0:
+        log_density = np.log(ahat)
+        if n > 1:
+            log_density += (n - 1) * np.log(bhat)
+    return Profiles(u, b, r, q, ahat, bhat, min_a, min_b, log_density)
 
 
 def velocity(phi, shift, x, xm, omx, dx, n):
-    """Flow velocity log(density ratio) + phi - shift.
+    """Flow velocity log(density ratio) + phi - shift, as ``(velocity,
+    min_ahat, min_bhat)``; the velocity is None off the positive cone.
 
     ``shift`` folds the reference metric's log density, potential offset and
     Ricci potential into one precomputed profile.
     """
-    logrho, min_a, min_b = log_density(phi, x, xm, omx, dx, n)
-    if logrho is None:
-        return None, min_a, min_b
-    logrho += phi
-    logrho -= shift
-    return logrho, min_a, min_b
+    p = profiles(phi, x, xm, omx, dx, n)
+    if p.log_density is None:
+        return None, p.min_ahat, p.min_bhat
+    out = p.log_density
+    out += phi
+    out -= shift
+    return out, p.min_ahat, p.min_bhat
 
 
 def rk4_step(phi, dt, shift, x, xm, omx, dx, n):
@@ -99,7 +115,6 @@ def rk4_step(phi, dt, shift, x, xm, omx, dx, n):
     if k4 is None:
         return None, False
     phi_new = phi + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    _, min_a, min_b = log_density(phi_new, x, xm, omx, dx, n)
-    if not (min_a > 0.0 and min_b > 0.0):
+    if profiles(phi_new, x, xm, omx, dx, n).log_density is None:
         return None, False
     return phi_new, True

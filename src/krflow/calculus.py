@@ -73,13 +73,15 @@ def d_ds(values, grid):
     return grid.xm * d_dx(values, grid)
 
 
-def extrapolate_endpoints(values, grid):
-    """Replace the two endpoint entries by one-sided quartic extrapolation.
+def over_xm(values, grid):
+    """f/(x(1-x)) at every node, for profiles f that vanish at x = 0, 1.
 
-    Used for profiles of the form f/(x(1-x)) whose endpoint entries are 0/0
-    but whose limits are finite.
+    The endpoint entries are 0/0 with finite limits; each is the one-sided
+    quartic extrapolation of the five nearest interior quotients.
     """
-    g = _check_shape(values, grid).copy()
+    f = _check_shape(values, grid)
+    g = np.empty_like(f)
+    g[1:-1] = f[1:-1] / grid.xm[1:-1]
     g[0] = 5.0 * g[1] - 10.0 * g[2] + 10.0 * g[3] - 5.0 * g[4] + g[5]
     g[-1] = 5.0 * g[-2] - 10.0 * g[-3] + 10.0 * g[-4] - 5.0 * g[-5] + g[-6]
     return g
@@ -88,16 +90,11 @@ def extrapolate_endpoints(values, grid):
 def integrate_ds(values, grid, endpoint_bound=1e8):
     """Integral of f ds over the whole chart, i.e. of f(x)/(x(1-x)) dx.
 
-    The integrand is extended to x = 0, 1 by quartic extrapolation and fed to
-    the composite rule. Raises DivergentIntegrand when an extrapolated
-    endpoint value exceeds ``endpoint_bound`` (the true integral then almost
-    certainly diverges).
+    The integrand (``over_xm``) is fed to the composite rule. Raises
+    DivergentIntegrand when an extrapolated endpoint value exceeds
+    ``endpoint_bound`` (the true integral then almost certainly diverges).
     """
-    f = _check_shape(values, grid)
-    g = np.empty_like(f)
-    g[1:-1] = f[1:-1] / grid.xm[1:-1]
-    g[0] = 5.0 * g[1] - 10.0 * g[2] + 10.0 * g[3] - 5.0 * g[4] + g[5]
-    g[-1] = 5.0 * g[-2] - 10.0 * g[-3] + 10.0 * g[-4] - 5.0 * g[-5] + g[-6]
+    g = over_xm(values, grid)
     if not np.isfinite(g[0]) or not np.isfinite(g[-1]) \
             or max(abs(g[0]), abs(g[-1])) > endpoint_bound:
         raise DivergentIntegrand(

@@ -34,10 +34,7 @@ from . import _kernels, banded
 from .calculus import build_grid
 from .errors import ConfigError, FlowAborted, StepRejected
 from .functionals import (
-    _dirichlet_from,
-    _e1_energy_from,
-    _k_energy_from,
-    _velocity_from,
+    _identity_terms,
     fubini_study_reference,
     futaki_of_state,
     identity_residual,
@@ -93,7 +90,6 @@ class FlowConfig:
     fit_degree: int = 8
     max_halvings: int = 60
     grow_streak: int = 16
-    gauge_fix: bool = True  # re-zero the potential's midpoint value after each step
 
     def __post_init__(self):
         if not self.t_max > 0.0:
@@ -230,11 +226,10 @@ def _jacobian_band(config, total):
     g = config.grid
     n = config.n
     d_band, k_band = _stencil_operators(g.size)
-    u = _kernels.d_dx(total, g.dx)
-    r = _kernels.d_dx((n + 1.0) * g.x + g.xm * u, g.dx)
-    jac = k_band / r[:, None]
+    p = _kernels.profiles(total, g.x, g.xm, g.omx, g.dx, n)
+    jac = k_band / p.r[:, None]
     if n > 1:
-        jac += d_band * ((n - 1) * g.omx / (n + 1.0 + g.omx * u))[:, None]
+        jac += d_band * ((n - 1) * g.omx / p.q)[:, None]
     jac[:, _HALF_BAND] += 1.0
     return jac
 
@@ -286,9 +281,9 @@ def step(ref, phi, dt, representation="nodal", fit_degree=8, trace=None):
     if trace is not None:
         trace.factorizations += 1
     new_total = _ros2(velocity, lambda v: banded.solve(levels, v), total, f0, dt)
-    _, min_a, min_b = _kernels.log_density(new_total, g.x, g.xm, g.omx, g.dx, n)
-    if not (min_a > 0.0 and min_b > 0.0):
-        raise rejected(min_a, min_b)
+    p = _kernels.profiles(new_total, g.x, g.xm, g.omx, g.dx, n)
+    if p.log_density is None:
+        raise rejected(p.min_ahat, p.min_bhat)
     rel = new_total - ref.state.phi_total
     if representation == "polynomial":
         coeffs = np.polynomial.polynomial.polyfit(g.x, rel, fit_degree)
@@ -297,17 +292,15 @@ def step(ref, phi, dt, representation="nodal", fit_degree=8, trace=None):
 
 
 def _record(ref, state, t):
-    rel = state.phi_total - ref.state.phi_total
-    nu = _k_energy_from(ref, state, rel)
-    e1 = _e1_energy_from(ref, state, rel)
-    dir_term = _dirichlet_from(state, _velocity_from(ref, state, rel))
+    nu, e1, dir_term, residual = _identity_terms(
+        ref, state, state.phi_total - ref.state.phi_total)
     scal = scalar_curvature(state)
     return FlowRecord(
         t=t,
         nu=nu,
         e1=e1,
         dirichlet=dir_term,
-        residual=e1 - 2.0 * nu - dir_term,
+        residual=residual,
         scal_min=float(scal.min()),
         scal_max=float(scal.max()),
         futaki=futaki_of_state(state),
@@ -363,12 +356,10 @@ def run(config):
             continue
         halvings = 0
         rel = _potential_values(new, g)
-        if config.gauge_fix:
-            # the constant mode grows like e^t and is pure gauge (every
-            # recorded functional is shift invariant); left alone it reaches
-            # ~1e3 by t ~ 10 and its stencil roundoff pollutes the
-            # derivative-heavy record columns
-            rel = rel - rel[g.size // 2]
+        # the constant mode grows like e^t and is pure gauge (every recorded
+        # functional is shift invariant); left alone it reaches ~1e3 by t ~ 10
+        # and its stencil roundoff pollutes the derivative-heavy record columns
+        rel = rel - rel[g.size // 2]
         landed = dt_step >= remaining
         if landed:  # the last step lands on t_max
             state = state_from_total(manifold, base + rel)

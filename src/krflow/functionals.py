@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import cumulative_dx, d_ds, extrapolate_endpoints, integrate_ds
+from .calculus import cumulative_dx, d_ds, integrate_ds, over_xm
 from .errors import ExpressionMismatch, NotInPotentialSpace
 from .geometry import (
     RadialForm,
@@ -108,10 +108,7 @@ def ricci_potential(state, normalization_offset=0.0, endpoint_tol=1e-7):
         raise NotInPotentialSpace(
             f"Ricci-minus-metric profile does not vanish at the endpoints "
             f"({diff[0]:.3e}, {diff[-1]:.3e}); state is not admissible")
-    slope = np.empty_like(diff)
-    slope[1:-1] = diff[1:-1] / g.xm[1:-1]
-    slope = extrapolate_endpoints(slope, g)
-    h_raw = cumulative_dx(slope, g)
+    h_raw = cumulative_dx(over_xm(diff, g), g)
     h_raw -= h_raw[g.size // 2]
     density = wedge_density([(state.form, state.config.n)], state.config.n)
     total = integrate_ds(density, g)
@@ -241,7 +238,8 @@ def flow_velocity(ref, phi):
     return _velocity_from(ref, state, values)
 
 
-def _dirichlet_from(state, v):
+def dirichlet(state, v):
+    """Average of i dv /\\ dbar(v) wedge metric^(n-1); nonnegative."""
     n = state.config.n
     density = d_ds(v, state.grid) ** 2
     if n > 1:
@@ -249,9 +247,12 @@ def _dirichlet_from(state, v):
     return average(density, state.config)
 
 
-def dirichlet(state, v):
-    """Average of i dv /\\ dbar(v) wedge metric^(n-1); nonnegative."""
-    return _dirichlet_from(state, v)
+def _identity_terms(ref, state, values, e1_coeffs=None):
+    """(nu, E1, Dirichlet(velocity), E1 - 2 nu - Dirichlet) at one state."""
+    nu = _k_energy_from(ref, state, values)
+    e1 = _e1_energy_from(ref, state, values, e1_coeffs)
+    dir_term = dirichlet(state, _velocity_from(ref, state, values))
+    return nu, e1, dir_term, e1 - 2.0 * nu - dir_term
 
 
 def identity_residual(ref, phi, e1_coeffs=None):
@@ -260,10 +261,7 @@ def identity_residual(ref, phi, e1_coeffs=None):
     Its common value is the reference constant relating the two energies.
     """
     state, values = _relative_state(ref, phi)
-    e1 = _e1_energy_from(ref, state, values, e1_coeffs)
-    nu = _k_energy_from(ref, state, values)
-    dir_term = _dirichlet_from(state, _velocity_from(ref, state, values))
-    return e1 - 2.0 * nu - dir_term
+    return _identity_terms(ref, state, values, e1_coeffs)[3]
 
 
 def futaki(ref):
@@ -273,31 +271,24 @@ def futaki(ref):
     average of d_ds h against the reference volume. Independent of which
     metric in the class plays the reference role.
     """
-    return average(d_ds(ref.potential.h, ref.grid) * ref.density, ref.config)
+    return _futaki(ref.potential.h, ref.density, ref.config)
 
 
 def futaki_of_state(state):
     """Futaki invariant computed from an arbitrary positive state."""
     n = state.config.n
-    potential = ricci_potential(state)
     density = wedge_density([(state.form, n)], n)
-    return average(d_ds(potential.h, state.grid) * density, state.config)
+    return _futaki(ricci_potential(state).h, density, state.config)
+
+
+def _futaki(h, density, config):
+    return average(d_ds(h, config.grid) * density, config)
 
 
 def evaluate(ref, phi, e1_coeffs=None):
     """All functionals at one potential, sharing a single state build."""
     state, values = _relative_state(ref, phi)
     j_grad, j_mixed = _j_energy_from(ref, state, values)
-    nu = _k_energy_from(ref, state, values)
-    e1 = _e1_energy_from(ref, state, values, e1_coeffs)
-    dir_term = _dirichlet_from(state, _velocity_from(ref, state, values))
-    return FunctionalReport(
-        j=j_grad,
-        j_mixed=j_mixed,
-        nu=nu,
-        e1=e1,
-        dirichlet=dir_term,
-        residual=e1 - 2.0 * nu - dir_term,
-        c0=ref.c0,
-        c1=ref.c1,
-    )
+    nu, e1, dir_term, residual = _identity_terms(ref, state, values, e1_coeffs)
+    return FunctionalReport(j=j_grad, j_mixed=j_mixed, nu=nu, e1=e1, dirichlet=dir_term,
+                            residual=residual, c0=ref.c0, c1=ref.c1)

@@ -18,21 +18,26 @@ units is (n+1)^n.
 
 Positivity of a perturbed metric is equivalent to the reduced ratios
 
-    Ahat = (dB/dx) / (n+1) > 0,   Bhat = 1 + (1-x) phi'(x) / (n+1) > 0
+    Ahat = r / (n+1) > 0,   Bhat = q / (n+1) > 0,
+
+    r = dB/dx,   q = (n+1) + (1-x) phi'(x),
 
 holding at every node including the endpoints; these factored forms avoid
 the 0/0 limits of A and B themselves. Likewise the Ricci profile is computed
 from the factored formula
 
-    B_ric = n - (n-1) [(1-x) + x(1-x) q'/q] - [(1-2x) + x(1-x) r'/r]
+    B_ric = n - (n-1) [(1-x) + x(1-x) q'/q] - [(1-2x) + x(1-x) r'/r],
 
-with q = (n+1) + (1-x) phi'(x) and r = dB/dx, which is endpoint-regular.
+which is endpoint-regular. ``_kernels.profiles`` is the one derivation of
+phi', B, r, q, Ahat, Bhat and the log volume ratio; the state build, the
+flow velocity and the flow's Jacobian all read it.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import _kernels
 from .calculus import Grid, d_dx, d_ds, integrate_ds
 from .errors import ConfigError, NotInPotentialSpace
 
@@ -167,38 +172,25 @@ def state_from_total(config, phi_total):
     """
     g = config.grid
     n = config.n
-    np1 = n + 1.0
     phi_total = _potential_values(phi_total, g)
-
-    u = d_dx(phi_total, g)
-    b = np1 * g.x + g.xm * u
-    r = d_dx(b, g)
-    q = np1 + g.omx * u
-    ahat = r / np1
-    bhat = q / np1
-    min_a = float(ahat.min())
-    min_b = float(bhat.min())
-    if not (min_a > 0.0 and min_b > 0.0):
+    p = _kernels.profiles(phi_total, g.x, g.xm, g.omx, g.dx, n)
+    if p.log_density is None:
         raise NotInPotentialSpace(
-            f"metric not positive: min Ahat = {min_a:.6g}, min Bhat = {min_b:.6g}")
+            f"metric not positive: min Ahat = {p.min_ahat:.6g}, min Bhat = {p.min_bhat:.6g}")
 
-    log_density = np.log(ahat)
-    if n > 1:
-        log_density = log_density + (n - 1) * np.log(bhat)
-
-    b_ric = n - (n - 1) * (g.omx + g.xm * d_dx(q, g) / q) \
-        - ((1.0 - 2.0 * g.x) + g.xm * d_dx(r, g) / r)
+    b_ric = n - (n - 1) * (g.omx + g.xm * d_dx(p.q, g) / p.q) \
+        - ((1.0 - 2.0 * g.x) + g.xm * d_dx(p.r, g) / p.r)
     db_ric = d_dx(b_ric, g)
 
     return MetricState(
         config=config,
         phi_total=phi_total,
-        form=RadialForm(a=g.xm * r, b=b),
-        ahat=ahat,
-        bhat=bhat,
-        q=q,
-        r=r,
-        log_density=log_density,
+        form=RadialForm(a=g.xm * p.r, b=p.b),
+        ahat=p.ahat,
+        bhat=p.bhat,
+        q=p.q,
+        r=p.r,
+        log_density=p.log_density,
         ricci=RadialForm(a=g.xm * db_ric, b=b_ric),
         ricci_db=db_ric,
     )

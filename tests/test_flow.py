@@ -146,6 +146,11 @@ def test_step_rejects_large_dt(small_config, monkeypatch):
     ref = fubini_study_reference(small_config)
     out = step(ref, TILT, 100.0)
     assert make_state(small_config, out).ahat.min() > 0.0
+    # the explicit RK4 reference integrator leaves the cone at dt = 1e3
+    g = small_config.grid
+    total = ref.state.phi_total + TILT.values(g)
+    out, ok = _kernels.rk4_step(total, 1e3, _shift_profile(ref), g.x, g.xm, g.omx, g.dx, 1)
+    assert out is None and not ok
     _cone_exit(monkeypatch, 0.0, 1.0)
     with pytest.raises(StepRejected) as info:
         flow.step(ref, TILT, 100.0)

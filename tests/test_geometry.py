@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from krflow import _kernels
 from krflow.calculus import build_grid, d_ds, integrate_ds
 from krflow.errors import ConfigError, NotInPotentialSpace
 from krflow.geometry import (
@@ -59,6 +60,11 @@ def test_make_state_rejects_steep_potential(config1):
     with pytest.raises(NotInPotentialSpace) as err:
         make_state(config1, RadialPotential((0.0, -10.0)))
     assert "not positive" in str(err.value)
+    # the profiles behind the state build flag the same state
+    g = config1.grid
+    p = _kernels.profiles(-10.0 * g.x, g.x, g.xm, g.omx, g.dx, 1)
+    assert p.log_density is None
+    assert min(p.min_ahat, p.min_bhat) <= 0.0
 
 
 def test_potential_degree_cap():
