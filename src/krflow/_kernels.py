@@ -81,18 +81,18 @@ def profiles(total, x, xm, omx, dx, n):
 
 def velocity(phi, shift, x, xm, omx, dx, n):
     """Flow velocity log(density ratio) + phi - shift, as ``(velocity,
-    min_ahat, min_bhat)``; the velocity is None off the positive cone.
+    profiles)``; the velocity is None off the positive cone, and the
+    ``Profiles`` of ``phi`` say how far.
 
     ``shift`` folds the reference metric's log density, potential offset and
     Ricci potential into one precomputed profile.
     """
     p = profiles(phi, x, xm, omx, dx, n)
     if p.log_density is None:
-        return None, p.min_ahat, p.min_bhat
-    out = p.log_density
-    out += phi
+        return None, p
+    out = p.log_density + phi  # a new array: p keeps its log density
     out -= shift
-    return out, p.min_ahat, p.min_bhat
+    return out, p
 
 
 def rk4_step(phi, dt, shift, x, xm, omx, dx, n):
@@ -102,16 +102,16 @@ def rk4_step(phi, dt, shift, x, xm, omx, dx, n):
     positive cone, in which case phi_new is None. The flow itself steps with
     ROS2 (``flow.step``); this step is the tests' reference integrator.
     """
-    k1, _, _ = velocity(phi, shift, x, xm, omx, dx, n)
+    k1, _ = velocity(phi, shift, x, xm, omx, dx, n)
     if k1 is None:
         return None, False
-    k2, _, _ = velocity(phi + (0.5 * dt) * k1, shift, x, xm, omx, dx, n)
+    k2, _ = velocity(phi + (0.5 * dt) * k1, shift, x, xm, omx, dx, n)
     if k2 is None:
         return None, False
-    k3, _, _ = velocity(phi + (0.5 * dt) * k2, shift, x, xm, omx, dx, n)
+    k3, _ = velocity(phi + (0.5 * dt) * k2, shift, x, xm, omx, dx, n)
     if k3 is None:
         return None, False
-    k4, _, _ = velocity(phi + dt * k3, shift, x, xm, omx, dx, n)
+    k4, _ = velocity(phi + dt * k3, shift, x, xm, omx, dx, n)
     if k4 is None:
         return None, False
     phi_new = phi + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)

@@ -26,7 +26,7 @@ roundoff would otherwise contaminate the curvature columns of long traces.
 """
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -35,6 +35,7 @@ from .calculus import build_grid
 from .errors import ConfigError, FlowAborted, StepRejected
 from .functionals import (
     _identity_terms,
+    _pieces,
     fubini_study_reference,
     futaki_of_state,
     identity_residual,
@@ -216,8 +217,9 @@ def _stencil_operators(size):
     return d_band, k_band
 
 
-def _jacobian_band(config, total):
-    """Exact Jacobian of the velocity at the total potential ``total``:
+def _jacobian_band(config, p):
+    """Exact Jacobian of the velocity at the profiles ``p`` (a ``Profiles``
+    or a ``MetricState``; only ``r`` and ``q`` are read):
 
         J = diag(1/r) K + diag((n-1)(1-x)/q) D + I,
 
@@ -226,7 +228,6 @@ def _jacobian_band(config, total):
     g = config.grid
     n = config.n
     d_band, k_band = _stencil_operators(g.size)
-    p = _kernels.profiles(total, g.x, g.xm, g.omx, g.dx, n)
     jac = k_band / p.r[:, None]
     if n > 1:
         jac += d_band * ((n - 1) * g.omx / p.q)[:, None]
@@ -268,19 +269,19 @@ def step(ref, phi, dt, representation="nodal", fit_degree=8, trace=None):
     def velocity(values):
         if trace is not None:
             trace.velocity_evals += 1
-        out, min_a, min_b = _kernels.velocity(values, shift, g.x, g.xm, g.omx, g.dx, n)
+        out, p = _kernels.velocity(values, shift, g.x, g.xm, g.omx, g.dx, n)
         if out is None:
-            raise rejected(min_a, min_b)
-        return out
+            raise rejected(p.min_ahat, p.min_bhat)
+        return out, p
 
-    f0 = velocity(total)
-    system = _jacobian_band(ref.config, total)
+    f0, p0 = velocity(total)
+    system = _jacobian_band(ref.config, p0)
     system *= -_GAMMA * dt
     system[:, _HALF_BAND] += 1.0
     levels = banded.factor(system)
     if trace is not None:
         trace.factorizations += 1
-    new_total = _ros2(velocity, lambda v: banded.solve(levels, v), total, f0, dt)
+    new_total = _ros2(lambda y: velocity(y)[0], partial(banded.solve, levels), total, f0, dt)
     p = _kernels.profiles(new_total, g.x, g.xm, g.omx, g.dx, n)
     if p.log_density is None:
         raise rejected(p.min_ahat, p.min_bhat)
@@ -293,7 +294,7 @@ def step(ref, phi, dt, representation="nodal", fit_degree=8, trace=None):
 
 def _record(ref, state, t):
     nu, e1, dir_term, residual = _identity_terms(
-        ref, state, state.phi_total - ref.state.phi_total)
+        ref, _pieces(ref, state, state.phi_total - ref.state.phi_total))
     scal = scalar_curvature(state)
     return FlowRecord(
         t=t,

@@ -13,9 +13,14 @@ floating point as well (potentials drift by large constants along the flow;
 a fixed-node gauge keeps that drift out of the quadratures without masking
 deliberately corrupted coefficient systems). ``mixed_sum`` is the uncentered
 primitive and feels constants.
+
+J, nu and E1 weight the same n + 1 mixed averages <phi, ref^k wedge
+perturbed^(n-k)>: ``_pieces`` derives them once per state, with the centred
+values and the log volume ratio, for ``evaluate`` and the flow's records.
 """
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +33,7 @@ from .geometry import (
     average,
     background,
     state_from,
+    state_from_total,
     wedge_density,
 )
 
@@ -64,7 +70,6 @@ class Reference:
     potential: RicciPotential
     c0: float
     c1: float
-    density: np.ndarray  # volume density of the reference metric
 
     @property
     def config(self):
@@ -110,9 +115,8 @@ def ricci_potential(state, normalization_offset=0.0, endpoint_tol=1e-7):
             f"({diff[0]:.3e}, {diff[-1]:.3e}); state is not admissible")
     h_raw = cumulative_dx(over_xm(diff, g), g)
     h_raw -= h_raw[g.size // 2]
-    density = wedge_density([(state.form, state.config.n)], state.config.n)
-    total = integrate_ds(density, g)
-    weighted = integrate_ds(np.exp(h_raw) * density, g)
+    total = integrate_ds(state.density, g)
+    weighted = integrate_ds(np.exp(h_raw) * state.density, g)
     c = math.log(total / weighted) + normalization_offset
     return RicciPotential(h=h_raw + c, c=c)
 
@@ -121,12 +125,11 @@ def make_reference(state, normalization_offset=0.0):
     """Promote a state to reference role (computes h and the constants)."""
     n = state.config.n
     potential = ricci_potential(state, normalization_offset=normalization_offset)
-    density = wedge_density([(state.form, n)], n)
     ric_plus = RadialForm(a=state.ricci.a + state.form.a, b=state.ricci.b + state.form.b)
     mixed = wedge_density([(ric_plus, 1), (state.form, n - 1)], n)
-    c0 = average(potential.h * density, state.config)
+    c0 = average(potential.h * state.density, state.config)
     c1 = average(potential.h * mixed, state.config)
-    return Reference(state=state, potential=potential, c0=c0, c1=c1, density=density)
+    return Reference(state=state, potential=potential, c0=c0, c1=c1)
 
 
 def fubini_study_reference(config):
@@ -141,19 +144,31 @@ def re_reference(ref, psi):
 
 def _relative_state(ref, phi):
     values = _potential_values(phi, ref.grid)
-    return state_from(ref.state, phi), values
+    return state_from_total(ref.config, ref.state.phi_total + values), values
 
 
-def _mixed_densities(ref, state):
+def _mixed_averages(ref, state, values):
+    """The n + 1 averages of values * (ref^k wedge state^(n-k)), k = 0..n."""
     n = ref.config.n
-    return [wedge_density([(ref.form, k), (state.form, n - k)], n) for k in range(n + 1)]
+    return [average(values * wedge_density([(ref.form, k), (state.form, n - k)], n),
+                    ref.config) for k in range(n + 1)]
 
 
-def _mixed_terms(ref, state, values, coeffs):
-    densities = _mixed_densities(ref, state)
-    np1 = ref.config.n + 1
-    return sum(
-        coeffs[k] / np1 * average(values * densities[k], ref.config) for k in range(np1))
+def _weighted(coeffs, mixed):
+    np1 = len(mixed)
+    return sum(coeffs[k] / np1 * mixed[k] for k in range(np1))
+
+
+# what the energies share at one state: the relative potential's nodal values,
+# the same minus their midpoint value, the log volume ratio against the
+# reference, and the mixed averages of the centred values
+_Pieces = namedtuple("_Pieces", "state values centered log_rel mixed")
+
+
+def _pieces(ref, state, values):
+    centered = values - values[values.shape[0] // 2]
+    log_rel = state.log_density - ref.state.log_density
+    return _Pieces(state, values, centered, log_rel, _mixed_averages(ref, state, centered))
 
 
 def mixed_sum(ref, phi, coeffs):
@@ -162,21 +177,19 @@ def mixed_sum(ref, phi, coeffs):
     if coeffs.shape != (ref.config.n + 1,):
         raise ValueError(f"need {ref.config.n + 1} coefficients, got shape {coeffs.shape}")
     state, values = _relative_state(ref, phi)
-    return _mixed_terms(ref, state, values, coeffs)
+    return _weighted(coeffs, _mixed_averages(ref, state, values))
 
 
-def _j_energy_from(ref, state, values, rel_tol=1e-6):
+def _j_energy_from(ref, pieces, rel_tol=1e-6):
     n = ref.config.n
-    centered = values - values[values.shape[0] // 2]
-    grad = d_ds(centered, ref.grid) ** 2
+    grad = d_ds(pieces.centered, ref.grid) ** 2
     j_grad = 0.0
     for k in range(n):
         weight = (k + 1) / (n + 1)
-        density = grad * ref.form.b ** k * state.form.b ** (n - 1 - k)
+        density = grad * ref.form.b ** k * pieces.state.form.b ** (n - 1 - k)
         j_grad += weight * average(density, ref.config)
-    densities = _mixed_densities(ref, state)
-    j_mixed = average(centered * ref.density, ref.config)
-    j_mixed -= sum(average(centered * d, ref.config) for d in densities) / (n + 1)
+    # the k = n average is against the reference volume itself
+    j_mixed = pieces.mixed[n] - sum(pieces.mixed) / (n + 1)
     if abs(j_grad - j_mixed) > rel_tol * (1.0 + abs(j_grad)):
         raise ExpressionMismatch(
             f"gradient form {j_grad:.12e} and mixed form {j_mixed:.12e} of the "
@@ -187,55 +200,40 @@ def _j_energy_from(ref, state, values, rel_tol=1e-6):
 def j_energy(ref, phi):
     """Generalized energy; computes both defining expressions and checks
     they agree before returning the gradient form (which is >= 0)."""
-    state, values = _relative_state(ref, phi)
-    return _j_energy_from(ref, state, values)[0]
+    return _j_energy_from(ref, _pieces(ref, *_relative_state(ref, phi)))[0]
 
 
-def _k_energy_from(ref, state, values, coeffs=None):
-    n = ref.config.n
-    if coeffs is None:
-        coeffs = k_energy_coefficients(n)
-    centered = values - values[values.shape[0] // 2]
-    log_rel = state.log_density - ref.state.log_density
-    density = wedge_density([(state.form, n)], n)
-    entropy = average((log_rel - ref.potential.h) * density, ref.config)
-    return entropy + _mixed_terms(ref, state, centered, coeffs) + ref.c0
+def _k_energy_from(ref, pieces):
+    entropy = average((pieces.log_rel - ref.potential.h) * pieces.state.density, ref.config)
+    return entropy + _weighted(k_energy_coefficients(ref.config.n), pieces.mixed) + ref.c0
 
 
-def k_energy(ref, phi, coeffs=None):
+def k_energy(ref, phi):
     """K-energy in synthetic form: entropy-type term, weighted mixed sums,
     plus the reference constant."""
-    state, values = _relative_state(ref, phi)
-    return _k_energy_from(ref, state, values, coeffs)
+    return _k_energy_from(ref, _pieces(ref, *_relative_state(ref, phi)))
 
 
-def _e1_energy_from(ref, state, values, coeffs=None):
+def _e1_energy_from(ref, pieces, coeffs=None):
     n = ref.config.n
     if coeffs is None:
         coeffs = e1_coefficients(n)
-    centered = values - values[values.shape[0] // 2]
-    log_rel = state.log_density - ref.state.log_density
+    state = pieces.state
     ric_plus = RadialForm(a=state.ricci.a + ref.form.a, b=state.ricci.b + ref.form.b)
     density = wedge_density([(ric_plus, 1), (state.form, n - 1)], n)
-    entropy = average((log_rel - ref.potential.h) * density, ref.config)
-    return entropy + _mixed_terms(ref, state, centered, coeffs) + ref.c1
+    entropy = average((pieces.log_rel - ref.potential.h) * density, ref.config)
+    return entropy + _weighted(coeffs, pieces.mixed) + ref.c1
 
 
 def e1_energy(ref, phi, coeffs=None):
     """First Chen-Tian energy with its (n-1, n-1, -2, ...) mixed weights."""
-    state, values = _relative_state(ref, phi)
-    return _e1_energy_from(ref, state, values, coeffs)
-
-
-def _velocity_from(ref, state, values):
-    log_rel = state.log_density - ref.state.log_density
-    return log_rel + values - ref.potential.h
+    return _e1_energy_from(ref, _pieces(ref, *_relative_state(ref, phi)), coeffs)
 
 
 def flow_velocity(ref, phi):
     """Potential-flow velocity log(volume ratio) + phi - h."""
     state, values = _relative_state(ref, phi)
-    return _velocity_from(ref, state, values)
+    return state.log_density - ref.state.log_density + values - ref.potential.h
 
 
 def dirichlet(state, v):
@@ -247,11 +245,12 @@ def dirichlet(state, v):
     return average(density, state.config)
 
 
-def _identity_terms(ref, state, values, e1_coeffs=None):
+def _identity_terms(ref, pieces, e1_coeffs=None):
     """(nu, E1, Dirichlet(velocity), E1 - 2 nu - Dirichlet) at one state."""
-    nu = _k_energy_from(ref, state, values)
-    e1 = _e1_energy_from(ref, state, values, e1_coeffs)
-    dir_term = dirichlet(state, _velocity_from(ref, state, values))
+    nu = _k_energy_from(ref, pieces)
+    e1 = _e1_energy_from(ref, pieces, e1_coeffs)
+    velocity = pieces.log_rel + pieces.values - ref.potential.h
+    dir_term = dirichlet(pieces.state, velocity)
     return nu, e1, dir_term, e1 - 2.0 * nu - dir_term
 
 
@@ -260,8 +259,7 @@ def identity_residual(ref, phi, e1_coeffs=None):
 
     Its common value is the reference constant relating the two energies.
     """
-    state, values = _relative_state(ref, phi)
-    return _identity_terms(ref, state, values, e1_coeffs)[3]
+    return _identity_terms(ref, _pieces(ref, *_relative_state(ref, phi)), e1_coeffs)[3]
 
 
 def futaki(ref):
@@ -271,14 +269,12 @@ def futaki(ref):
     average of d_ds h against the reference volume. Independent of which
     metric in the class plays the reference role.
     """
-    return _futaki(ref.potential.h, ref.density, ref.config)
+    return _futaki(ref.potential.h, ref.state.density, ref.config)
 
 
 def futaki_of_state(state):
     """Futaki invariant computed from an arbitrary positive state."""
-    n = state.config.n
-    density = wedge_density([(state.form, n)], n)
-    return _futaki(ricci_potential(state).h, density, state.config)
+    return _futaki(ricci_potential(state).h, state.density, state.config)
 
 
 def _futaki(h, density, config):
@@ -286,9 +282,10 @@ def _futaki(h, density, config):
 
 
 def evaluate(ref, phi, e1_coeffs=None):
-    """All functionals at one potential, sharing a single state build."""
-    state, values = _relative_state(ref, phi)
-    j_grad, j_mixed = _j_energy_from(ref, state, values)
-    nu, e1, dir_term, residual = _identity_terms(ref, state, values, e1_coeffs)
+    """All functionals at one potential, sharing a single state build and
+    one set of mixed averages."""
+    pieces = _pieces(ref, *_relative_state(ref, phi))
+    j_grad, j_mixed = _j_energy_from(ref, pieces)
+    nu, e1, dir_term, residual = _identity_terms(ref, pieces, e1_coeffs)
     return FunctionalReport(j=j_grad, j_mixed=j_mixed, nu=nu, e1=e1, dirichlet=dir_term,
                             residual=residual, c0=ref.c0, c1=ref.c1)

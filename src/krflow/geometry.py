@@ -30,7 +30,8 @@ from the factored formula
 
 which is endpoint-regular. ``_kernels.profiles`` is the one derivation of
 phi', B, r, q, Ahat, Bhat and the log volume ratio; the state build, the
-flow velocity and the flow's Jacobian all read it.
+flow velocity and the flow's Jacobian all read it. The state build also
+derives the volume density n A B^(n-1) once, as ``MetricState.density``.
 """
 
 from dataclasses import dataclass
@@ -132,7 +133,8 @@ class MetricState:
     the metric profile pair, ``ricci`` the Ricci profile pair (``ricci_db``
     its x-derivative, used for endpoint-regular curvature ratios). ``q`` and
     ``r`` are the endpoint-regular factors described in the module docstring;
-    ``log_density`` is log of the volume ratio against the background.
+    ``log_density`` is log of the volume ratio against the background and
+    ``density`` the reduced volume density ``wedge_density([(form, n)], n)``.
     Immutable after construction and safe to share across threads.
     """
 
@@ -144,6 +146,7 @@ class MetricState:
     q: np.ndarray
     r: np.ndarray
     log_density: np.ndarray
+    density: np.ndarray
     ricci: RadialForm
     ricci_db: np.ndarray
 
@@ -181,16 +184,18 @@ def state_from_total(config, phi_total):
     b_ric = n - (n - 1) * (g.omx + g.xm * d_dx(p.q, g) / p.q) \
         - ((1.0 - 2.0 * g.x) + g.xm * d_dx(p.r, g) / p.r)
     db_ric = d_dx(b_ric, g)
+    form = RadialForm(a=g.xm * p.r, b=p.b)
 
     return MetricState(
         config=config,
         phi_total=phi_total,
-        form=RadialForm(a=g.xm * p.r, b=p.b),
+        form=form,
         ahat=p.ahat,
         bhat=p.bhat,
         q=p.q,
         r=p.r,
         log_density=p.log_density,
+        density=wedge_density([(form, n)], n),
         ricci=RadialForm(a=g.xm * db_ric, b=b_ric),
         ricci_db=db_ric,
     )

@@ -76,26 +76,22 @@ def _identity_rhs(identity, ref, state, direction_values):
     cfg = ref.config
     xi = direction_values
     if identity == "DER_JFUNC":
-        density = wedge_density([(state.form, n)], n)
-        return (n + 1) * average(xi * density, cfg)
+        return (n + 1) * average(xi * state.density, cfg)
     if identity == "DER_KENERG":
-        density = wedge_density([(state.form, n)], n)
         scal = scalar_curvature(state)
-        return -0.5 * average(xi * (scal - 2.0 * n) * density, cfg)
+        return -0.5 * average(xi * (scal - 2.0 * n) * state.density, cfg)
     if identity == "DER_J1FUN":
         if n == 1:
             return 0.0
-        full = wedge_density([(state.form, n)], n)
         mixed = wedge_density([(ref.form, 2), (state.form, n - 2)], n)
-        return (n - 1) * average(xi * (full - mixed), cfg)
+        return (n - 1) * average(xi * (state.density - mixed), cfg)
     if identity == "DER_E1":
         lap = laplacian(state, xi)
         ric_wedge = wedge_density([(state.ricci, 1), (state.form, n - 1)], n)
         value = average(lap * ric_wedge, cfg)
         if n > 1:
             ric_sq = wedge_density([(state.ricci, 2), (state.form, n - 2)], n)
-            full = wedge_density([(state.form, n)], n)
-            value -= (n - 1) * average(xi * (ric_sq - full), cfg)
+            value -= (n - 1) * average(xi * (ric_sq - state.density), cfg)
         return value
     raise ConfigError(f"unknown identity {identity!r}")
 
@@ -130,7 +126,7 @@ def cocycle_check(ref, phi1, phi2, functional):
     a cocycle, so J's signed defect telescopes exactly to
 
         J(w, phi2) - J(w, phi1) - J(w1, phi2 - phi1)
-            = average((phi2 - phi1) * (ref.density - ref1.density)),
+            = average((phi2 - phi1) * (ref.state.density - ref1.state.density)),
 
     with ref1 = re_reference(ref, phi1). It is generically of order one
     (eps^2/12 for the pair (eps x, 2 eps x) at n = 1). The check measures
@@ -294,7 +290,7 @@ def run_suite(config):
     defect = d_ds(h, grid) - (bent_state.ricci.b - bent_state.form.b)
     add("h_defining_eq", np.abs(defect).max())
     add("h_normalization",
-        abs(average((np.exp(h) - 1.0) * bent_ref.density, manifold)))
+        abs(average((np.exp(h) - 1.0) * bent_ref.state.density, manifold)))
     add("h_background_zero", np.abs(fs_ref.potential.h).max())
 
     # Futaki invariant: vanishing and reference independence
@@ -311,8 +307,7 @@ def run_suite(config):
     worst = 0.0
     for phi in potentials[:5]:
         state = make_state(manifold, phi)
-        density = wedge_density([(state.form, n)], n)
-        worst = max(worst, abs(average(scalar_curvature(state) * density, manifold)
+        worst = max(worst, abs(average(scalar_curvature(state) * state.density, manifold)
                                - 2.0 * n))
     add("scal_class_average", worst)
 

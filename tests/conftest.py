@@ -61,3 +61,18 @@ def bent_ref2(config2):
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20240901)
+
+
+def pytest_terminal_summary(terminalreporter):
+    """Repeat the acceptance criteria's pass/fail lines in the terminal
+    summary, so a plain run shows them (with ``-s`` they also appear as each
+    test runs). Only prints: no verdict depends on it."""
+    reports = sorted((report for key in ("passed", "failed")
+                      for report in terminalreporter.stats.get(key, ())
+                      if report.when == "call"), key=lambda report: report.nodeid)
+    lines = [line for report in reports for line in report.capstdout.splitlines()
+             if line.startswith("criterion ")]
+    if lines:
+        terminalreporter.write_sep("-", "acceptance criteria")
+        for line in lines:
+            terminalreporter.write_line(line)

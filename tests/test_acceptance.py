@@ -1,8 +1,8 @@
 """Acceptance suite.
 
 Each test implements one numbered acceptance criterion at its stated
-tolerance and prints a single pass/fail line (run with ``pytest -s`` to see
-the lines as they appear).
+tolerance and prints a single pass/fail line. ``conftest.py`` repeats the
+lines in pytest's terminal summary; ``pytest -s`` shows them as they appear.
 """
 
 import time
@@ -201,15 +201,15 @@ def _j_two_point(ref, phi1, phi2):
     """J's cocycle defect, its predicted value and the normalizing scale.
 
     The defect is J(w, phi2) - J(w, phi1) - J(w_phi1, phi2 - phi1); the
-    prediction is the average of (phi2 - phi1) * (ref.density -
-    re_reference(ref, phi1).density), as in ``cocycle_check``.
+    prediction is the average of (phi2 - phi1) * (ref.state.density -
+    re_reference(ref, phi1).state.density), as in ``cocycle_check``.
     """
     ref1 = re_reference(ref, phi1)
     total = j_energy(ref, phi2)
     first = j_energy(ref, phi1)
     second = j_energy(ref1, phi2 - phi1)
     step = (phi2 - phi1).values(ref.grid)
-    predicted = average(step * (ref.density - ref1.density), ref.config)
+    predicted = average(step * (ref.state.density - ref1.state.density), ref.config)
     scale = max(abs(total), abs(first), abs(second))
     return total - first - second, predicted, scale
 
@@ -219,8 +219,8 @@ def test_criterion_05b_j_cocycle():
 
     J is not a cocycle. J = (avg of phi against the reference volume) minus
     the mixed energy, and the mixed energy is a cocycle, so the defect of J
-    telescopes exactly to avg((phi2 - phi1) * (ref.density -
-    re_reference(ref, phi1).density)): see ``verification.cocycle_check``
+    telescopes exactly to avg((phi2 - phi1) * (ref.state.density -
+    re_reference(ref, phi1).state.density)): see ``verification.cocycle_check``
     and ``test_verification.test_j_cocycle_defect_is_structural``. The test
     asserts that identity at the cocycle tolerance, its closed form eps^2/12
     for the pair (eps x, 2 eps x) at n = 1, and that the defect itself is
@@ -286,7 +286,7 @@ def test_criterion_07_ricci_potential():
         ref = make_reference(state)
         defect = np.abs(d_ds(ref.potential.h, config.grid)
                         - (state.ricci.b - state.form.b)).max()
-        norm = abs(average((np.exp(ref.potential.h) - 1.0) * ref.density, config))
+        norm = abs(average((np.exp(ref.potential.h) - 1.0) * ref.state.density, config))
         fs = np.abs(fubini_study_reference(config).potential.h).max()
         ok &= defect <= 1e-6 and norm <= 1e-10 and fs <= 1e-10
         details.append(f"n={n}: eq {defect:.1e}, norm {norm:.1e}, fs {fs:.1e}")

@@ -132,7 +132,9 @@ def _cone_exit(monkeypatch, start, stop, longest=0.0):
     def velocity(*args):
         t, dt = clock["t"], clock["dt"]
         if dt > longest and t < stop and t + dt > start:
-            return (None,) + FAILED_MINS
+            min_ahat, min_bhat = FAILED_MINS
+            profiles = real_velocity(*args)[1]
+            return None, profiles._replace(min_ahat=min_ahat, min_bhat=min_bhat)
         return real_velocity(*args)
 
     monkeypatch.setattr(flow, "step", timed_step)
@@ -357,7 +359,7 @@ def test_jacobian_matches_fd(n):
         gaps = []
         for h in (1e-6, 1e-7):
             fd, total = _fd_jacobian(ref, phi, h)
-            exact = _dense(_jacobian_band(config, total))
+            exact = _dense(_jacobian_band(config, state_from_total(config, total)))
             scale = np.abs(fd).max()
             gaps.append(np.abs(exact - fd).max() / scale)
             assert np.abs(fd[outside]).max() <= 1e-12 * scale
@@ -377,7 +379,7 @@ def test_block_solve_matches_dense_solve(size):
         config = ManifoldConfig(n=n, grid=build_grid(size))
         ref = fubini_study_reference(config)
         total = ref.state.phi_total + RadialPotential((0.0, 0.2, 0.1)).values(config.grid)
-        jac = _jacobian_band(config, total)
+        jac = _jacobian_band(config, state_from_total(config, total))
         for c in np.geomspace(1e-4, 10.0, 7):
             system = -c * jac
             system[:, _HALF_BAND] += 1.0

@@ -3,10 +3,12 @@ import dataclasses
 import numpy as np
 import pytest
 
+from krflow import functionals, geometry
 from krflow.calculus import build_grid, d_ds
 from krflow.errors import ExpressionMismatch, NotInPotentialSpace
 from krflow.functionals import (
     _j_energy_from,
+    _pieces,
     _relative_state,
     dirichlet,
     e1_coefficients,
@@ -73,7 +75,7 @@ def test_ricci_potential_defining_equation():
 def test_ricci_potential_normalization(bent_ref1):
     state = bent_ref1.state
     cfg = state.config
-    value = average((np.exp(bent_ref1.potential.h) - 1.0) * bent_ref1.density, cfg)
+    value = average((np.exp(bent_ref1.potential.h) - 1.0) * bent_ref1.state.density, cfg)
     assert abs(value) <= 1e-10
 
 
@@ -112,9 +114,9 @@ def test_j_energy_expressions_agree_and_nonnegative(n, rng):
 
 def test_j_energy_mismatch_raises(fs_ref1, rng):
     phi = sample_admissible(fs_ref1.config, rng, 1)[0]
-    state, values = _relative_state(fs_ref1, phi)
     with pytest.raises(ExpressionMismatch):
-        _j_energy_from(fs_ref1, state, values, rel_tol=1e-18)
+        _j_energy_from(fs_ref1, _pieces(fs_ref1, *_relative_state(fs_ref1, phi)),
+                       rel_tol=1e-18)
 
 
 def test_k_energy_zero_and_constant(fs_ref1, bent_ref1):
@@ -308,11 +310,35 @@ def test_shift_invariance(fs_ref2, rng):
                - identity_residual(fs_ref2, phi)) <= 1e-8
 
 
-def test_evaluate_report(fs_ref1, rng):
-    phi = sample_admissible(fs_ref1.config, rng, 1)[0]
-    report = evaluate(fs_ref1, phi)
-    assert report.j >= 0.0
-    assert report.dirichlet >= 0.0
-    assert report.residual == pytest.approx(
-        report.e1 - 2.0 * report.nu - report.dirichlet, abs=1e-15)
-    assert report.c0 == fs_ref1.c0 and report.c1 == fs_ref1.c1
+def test_evaluate_report(rng, monkeypatch):
+    # at n = 1, 2, 3 and both references, evaluate shares one state build
+    # and one set of mixed averages among J, nu, E1 and the residual, and
+    # gives each the same bits as the function that computes it alone
+    calls = []
+
+    def counted(forms, dim):
+        calls.append(dim)
+        return wedge_density(forms, dim)
+
+    for n in (1, 2, 3):
+        cfg = ManifoldConfig(n=n, grid=build_grid(512))
+        for ref in (make_reference(make_state(cfg, ZERO)),
+                    make_reference(make_state(cfg, RadialPotential((0.0, 0.2, 0.1))))):
+            phi = sample_admissible(cfg, rng, 1, base=ref.state)[0]
+            calls.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(geometry, "wedge_density", counted)
+                patch.setattr(functionals, "wedge_density", counted)
+                report = evaluate(ref, phi)
+            assert len(calls) <= n + 3, (n, len(calls))
+            assert report.j == j_energy(ref, phi)
+            assert report.nu == k_energy(ref, phi)
+            assert report.e1 == e1_energy(ref, phi)
+            assert report.residual == identity_residual(ref, phi)
+            state = make_state(cfg, ref.state.phi_total + phi.values(cfg.grid))
+            assert report.dirichlet == dirichlet(state, flow_velocity(ref, phi))
+            assert report.j >= 0.0
+            assert report.dirichlet >= 0.0
+            assert report.residual == pytest.approx(
+                report.e1 - 2.0 * report.nu - report.dirichlet, abs=1e-15)
+            assert report.c0 == ref.c0 and report.c1 == ref.c1
