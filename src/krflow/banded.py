@@ -1,96 +1,93 @@
-"""Banded linear solves by block cyclic reduction, in plain numpy.
+"""Banded linear solves by LAPACK's banded LU with partial pivoting.
 
-A matrix of half-bandwidth w is stored by rows, ``band[i, k] = M[i, i + k -
-w]``. Cut into diagonal blocks of size b >= w it is block tridiagonal;
-padded with identity rows to p = 2^k - 1 blocks, it factors by block cyclic
-reduction (Buzbee, Golub & Nielson, SIAM J. Numer. Anal. 7, 1970): each
-level eliminates the even-numbered blocks of the level before, so k levels
-of batched b x b inverses and products replace a sequential sweep. There is
-no pivoting between blocks; the flow's matrices I - c J are dominated by
-their diffusion part, whose diagonal blocks stay invertible.
+A matrix M of half-bandwidth w is stored by rows, ``band[i, k] = M[i, i + k
+- w]``. Row i of M is column i of M^T, so the same array, preceded by w zero
+columns for the fill-in that row interchanges create, is LAPACK's column
+band storage of M^T with w sub- and w superdiagonals (Anderson et al.,
+LAPACK Users' Guide, 3rd ed., 1999, section 5.3.3). ``factor`` runs
+``dgbtrf`` on that copy and ``solve`` runs ``dgbtrs`` with TRANS = 'T',
+which solves M x = b; no layout gather is needed.
+
+The routines are the ones numpy itself links: its bundled scipy-openblas64
+(ILP64, every integer 64-bit), found through the dependencies of
+``numpy.linalg._umath_linalg``. This costs no import and maps no new shared
+object, where ``scipy.linalg`` would add 28 MiB and 0.3 s.
+
+The flow therefore needs a numpy >= 2.0 built with scipy-openblas64, as
+numpy's PyPI wheels for Linux are; it is tested on the Linux x86-64 wheel.
+Builds whose LAPACK exports other names (the openblas64_ of numpy 1.x,
+Accelerate, MKL, a system LAPACK) or where the lookup does not search a
+library's dependencies (Windows) cannot run the flow: the first
+factorization raises KrflowError.
 """
 
+import ctypes
 from functools import lru_cache
 
 import numpy as np
 
-MAX_BLOCK = 16
+from .errors import KrflowError
+
+_INT = ctypes.c_int64
+_PTR = ctypes.c_void_p
 
 
-@lru_cache(maxsize=8)
-def block_layout(size, half_width):
-    """``(p, b, cols)`` for ``size`` unknowns: p = 2^k - 1 blocks of b >=
-    ``half_width`` rows, the smallest such p with b <= MAX_BLOCK, and
-    ``cols[r, k]``, where band entry k of a block's row r goes in that block
-    row's [lower | upper | diagonal] blocks."""
-    p = 1
-    while -(-size // p) > MAX_BLOCK:
-        p = 2 * p + 1
-    b = max(half_width, -(-size // p))
-    cols = np.arange(b)[:, None] + np.arange(2 * half_width + 1) + (b - half_width)
-    # column c of the three blocks [lower | diagonal | upper], reordered
-    cols = np.where(cols < b, cols, np.where(cols < 2 * b, cols + b, cols - b))
-    cols.setflags(write=False)
-    return p, b, cols
+def _routines(lib):
+    """``(dgbtrf, dgbtrs)`` from the library handle ``lib``, with their
+    argument types declared; raises KrflowError when ``lib`` lacks them."""
+    try:
+        trf, trs = lib.scipy_dgbtrf_64_, lib.scipy_dgbtrs_64_
+    except AttributeError as exc:
+        raise KrflowError(f"numpy's LAPACK has no banded LU ({exc}); the flow needs a "
+                          "numpy >= 2.0 built with scipy-openblas64") from None
+    ref = ctypes.POINTER(_INT)
+    # dgbtrf(M, N, KL, KU, AB, LDAB, IPIV, INFO)
+    trf.argtypes = [ref, ref, ref, ref, _PTR, ref, _PTR, ref]
+    # dgbtrs(TRANS, N, KL, KU, NRHS, AB, LDAB, IPIV, B, LDB, INFO) and the
+    # hidden length of the Fortran string TRANS
+    trs.argtypes = [ctypes.c_char_p, ref, ref, ref, ref, _PTR, ref, _PTR, _PTR, ref, ref,
+                    ctypes.c_size_t]
+    trf.restype = trs.restype = None
+    return trf, trs
+
+
+@lru_cache(maxsize=1)
+def _lapack():
+    return _routines(ctypes.CDLL(np.linalg._umath_linalg.__file__))
 
 
 def factor(band):
-    """Factor the banded matrix ``band`` (rows x (2w + 1)); returns the
-    per-level operators that ``solve`` takes."""
+    """LU-factor the banded matrix ``band`` (rows x (2w + 1)); returns the
+    ``(lu, pivots)`` that ``solve`` takes. Raises numpy.linalg.LinAlgError
+    when the matrix is exactly singular."""
     m, width = band.shape
-    p, b, cols = block_layout(m, width // 2)
-    padded = np.zeros((p * b, width))
-    padded[:m] = band
-    padded[m:, width // 2] = 1.0
-    rows = np.zeros((p, b, 3 * b))
-    rows[:, np.arange(b)[:, None], cols] = padded.reshape(p, b, width)
-    off, diag = rows[:, :, :2 * b], rows[:, :, 2 * b:]
-    levels = []
-    while len(diag) > 1:
-        inv = np.linalg.inv(diag[0::2])
-        elim = off[0::2]
-        # eliminating the even blocks adds left @ row(i-1) + right @ row(i+1)
-        # to every odd block row i; lr holds [left | right], off and the
-        # rows [lower | upper]
-        lr = np.empty((len(inv) - 1, b, 2 * b))
-        np.matmul(off[1::2, :, :b], inv[:-1], out=lr[:, :, :b])
-        np.matmul(off[1::2, :, b:], inv[1:], out=lr[:, :, b:])
-        lr *= -1.0
-        levels.append((inv, elim, lr))
-        new_off = lr[:, :, :b] @ elim[:-1]
-        from_right = lr[:, :, b:] @ elim[1:]
-        diag = diag[1::2] + new_off[:, :, b:] + from_right[:, :, :b]
-        new_off[:, :, b:] = from_right[:, :, b:]
-        off = new_off
-    levels.append((np.linalg.inv(diag), None, None))
-    return levels
+    w = width // 2
+    if width != 2 * w + 1:
+        raise ValueError(f"band width must be odd, got {width}")
+    lu = np.zeros((m, width + w))
+    lu[:, w:] = band
+    pivots = np.empty(m, dtype=np.int64)
+    info = _INT()
+    size, half, ld = _INT(m), _INT(w), _INT(width + w)
+    _lapack()[0](size, size, half, half, lu.ctypes.data, ld, pivots.ctypes.data, info)
+    if info.value > 0:
+        raise np.linalg.LinAlgError(f"banded matrix is singular: pivot {info.value} is 0")
+    if info.value < 0:
+        raise ValueError(f"dgbtrf rejected argument {-info.value}")
+    return lu, pivots
 
 
-def solve(levels, rhs):
-    """Solve with the factorization ``levels`` for one right-hand side."""
-    m = rhs.shape[0]
-    b = levels[0][0].shape[1]
-    d = np.zeros((2 * len(levels[0][0]) - 1, b))
-    d.reshape(-1)[:m] = rhs
-    stack = []
-    for _, _, lr in levels[:-1]:
-        stack.append(d)
-        d = d[1::2] + _matvec(lr, _pairs(d[0::2]))
-    x = _matvec(levels[-1][0], d)
-    for (inv, elim, _), d in zip(levels[-2::-1], stack[::-1]):
-        neighbours = np.zeros((len(x) + 2, b))
-        neighbours[1:-1] = x
-        out = np.empty((2 * len(x) + 1, b))
-        out[0::2] = _matvec(inv, d[0::2] - _matvec(elim, _pairs(neighbours)))
-        out[1::2] = x
-        x = out
-    return x.reshape(-1)[:m]
-
-
-def _pairs(vectors):
-    """Consecutive pairs [v_j, v_j+1] of the block vectors, as (len - 1, 2b)."""
-    return np.concatenate((vectors[:-1], vectors[1:]), axis=1)
-
-
-def _matvec(blocks, vectors):
-    return (blocks @ vectors[:, :, None])[:, :, 0]
+def solve(factored, rhs):
+    """Solve M x = ``rhs`` with the factorization ``factor`` returned."""
+    lu, pivots = factored
+    m, ld = lu.shape  # ld = 3w + 1
+    x = np.array(rhs, dtype=np.float64)
+    if x.shape != (m,):
+        raise ValueError(f"right-hand side must have shape ({m},), got {x.shape}")
+    info = _INT()
+    size, half, one, ldab = _INT(m), _INT(ld // 3), _INT(1), _INT(ld)
+    _lapack()[1](b"T", size, half, half, one, lu.ctypes.data, ldab, pivots.ctypes.data,
+                 x.ctypes.data, size, info, 1)
+    if info.value != 0:
+        raise ValueError(f"dgbtrs rejected argument {-info.value}")
+    return x

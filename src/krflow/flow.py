@@ -8,8 +8,9 @@ problem is stiff like a 1D diffusion equation: the spectral estimate in
 long as the record spacing. Each step makes two velocity evaluations and
 two linear solves with M = I - gamma dt J, where J is the velocity's exact
 Jacobian: a band of half-width 7 assembled from the stencil operators at the
-step's start state. M is factored once per step by block cyclic reduction
-(``banded``).
+step's start state. M is LU-factored once per step by LAPACK's banded
+routines from numpy's own OpenBLAS (``banded``); an exactly singular M
+rejects the step like a cone exit.
 
 Records fall on a time grid: record k sits at t = k * record_every * dt0,
 where dt0 is the initial step size (``dt_init`` or its default, capped by
@@ -38,13 +39,11 @@ from .functionals import (
     _pieces,
     fubini_study_reference,
     futaki_of_state,
-    identity_residual,
     make_reference,
 )
 from .geometry import (
     ManifoldConfig,
     RadialPotential,
-    ZERO_POTENTIAL,
     _potential_values,
     make_state,
     scalar_curvature,
@@ -252,9 +251,10 @@ def step(ref, phi, dt, representation="nodal", fit_degree=8, trace=None):
 
     When a ``trace`` is given, the step adds its velocity evaluations and
     factorizations to it. Raises StepRejected when the start state, the
-    stage or the result leaves the positive cone; the caller is expected to
-    halve dt and retry. Returns the updated relative potential (nodal array,
-    or RadialPotential when the polynomial representation is requested).
+    stage or the result leaves the positive cone, or when the step matrix is
+    exactly singular; the caller is expected to halve dt and retry. Returns
+    the updated relative potential (nodal array, or RadialPotential when the
+    polynomial representation is requested).
     """
     g = ref.grid
     n = ref.config.n
@@ -278,10 +278,13 @@ def step(ref, phi, dt, representation="nodal", fit_degree=8, trace=None):
     system = _jacobian_band(ref.config, p0)
     system *= -_GAMMA * dt
     system[:, _HALF_BAND] += 1.0
-    levels = banded.factor(system)
+    try:
+        factored = banded.factor(system)
+    except np.linalg.LinAlgError as exc:
+        raise StepRejected(f"step matrix singular at dt = {dt:.3e} ({exc})") from exc
     if trace is not None:
         trace.factorizations += 1
-    new_total = _ros2(lambda y: velocity(y)[0], partial(banded.solve, levels), total, f0, dt)
+    new_total = _ros2(lambda y: velocity(y)[0], partial(banded.solve, factored), total, f0, dt)
     p = _kernels.profiles(new_total, g.x, g.xm, g.omx, g.dx, n)
     if p.log_density is None:
         raise rejected(p.min_ahat, p.min_bhat)
@@ -384,4 +387,4 @@ def c_omega_estimate(ref):
     Equal (within discretization error) to the residual at any other
     potential and at any flow time.
     """
-    return identity_residual(ref, ZERO_POTENTIAL)
+    return _identity_terms(ref, _pieces(ref, ref.state, np.zeros_like(ref.state.phi_total)))[3]

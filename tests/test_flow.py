@@ -8,7 +8,7 @@ import sys
 import krflow
 from krflow import _kernels, banded, flow
 from krflow.calculus import build_grid
-from krflow.errors import ConfigError, FlowAborted, StepRejected
+from krflow.errors import ConfigError, FlowAborted, KrflowError, StepRejected
 from krflow.flow import (
     FlowConfig,
     TRACE_COLUMNS,
@@ -370,10 +370,9 @@ def test_jacobian_matches_fd(n):
 
 @pytest.mark.parametrize("size", (16, 128, 134, 256, 512))
 def test_block_solve_matches_dense_solve(size):
-    # block cyclic reduction on I - c J against LAPACK for c = gamma dt from
-    # 1e-4 to 10. N + 1 = 135 nodes (size 134) fill 15 blocks of 9 exactly;
-    # every other size pads with identity rows. c = 1 is left out: the
-    # constant mode (J 1 = 1) makes I - J singular
+    # the banded LU on I - c J against a dense solve for c = gamma dt from
+    # 1e-4 to 10. c = 1 is left out: the constant mode (J 1 = 1) makes I - J
+    # singular
     rng = np.random.default_rng(size)
     for n in (1, 3):
         config = ManifoldConfig(n=n, grid=build_grid(size))
@@ -393,12 +392,68 @@ def test_block_solve_matches_dense_solve(size):
             assert np.abs(x - expected).max() <= 1e-10 * np.abs(expected).max(), (n, c)
 
 
-def test_block_layout_sizes():
-    # p = 2^k - 1 blocks of 7 to 16 rows, covering every node
-    for size in (17, 129, 135, 257, 513, 1025, 2049, 4097):
-        p, b, _ = banded.block_layout(size, _HALF_BAND)
-        assert p + 1 & p == 0 and _HALF_BAND <= b <= banded.MAX_BLOCK
-        assert p * b >= size > (p // 2) * banded.MAX_BLOCK
+def test_banded_solve_pivots():
+    # bands with a zero first diagonal entry, which only row interchanges get
+    # past: a random band, and the band of row swaps (2j, 2j + 1), whose
+    # diagonal is zero throughout and whose solution is the swapped right-hand
+    # side
+    rng = np.random.default_rng(7)
+    for size in (17, 257):
+        random = rng.standard_normal((size, 2 * _HALF_BAND + 1))
+        random[0, _HALF_BAND] = 0.0
+        swaps = np.zeros_like(random)
+        swaps[0:size - 1:2, _HALF_BAND + 1] = swaps[1::2, _HALF_BAND - 1] = 1.0
+        swaps[-1, _HALF_BAND] = size % 2
+        for band in (random, swaps):
+            rhs = rng.standard_normal(size)
+            factored = banded.factor(band)
+            assert factored[1][0] != 1  # row 1 was swapped away (1-based)
+            x = banded.solve(factored, rhs)
+            expected = np.linalg.solve(_dense(band), rhs)
+            assert np.abs(x - expected).max() <= 1e-10 * np.abs(expected).max()
+
+
+def _singular(band):
+    """``band`` with its middle row zeroed: an exactly singular matrix."""
+    band = band.copy()
+    band[band.shape[0] // 2] = 0.0
+    return band
+
+
+def test_singular_step_matrix_rejects_step(small_config, monkeypatch):
+    # an exactly singular band raises LinAlgError; in a step it is a
+    # rejection without minima, and the run halves dt and goes on
+    band = np.zeros((33, 2 * _HALF_BAND + 1))
+    band[:, _HALF_BAND] = 1.0
+    with pytest.raises(np.linalg.LinAlgError):
+        banded.factor(_singular(band))
+    sizes = []
+    real_step, real_factor = flow.step, banded.factor
+
+    def timed_step(ref, phi, dt, *args, **kwargs):
+        sizes.append(dt)
+        return real_step(ref, phi, dt, *args, **kwargs)
+
+    def factor(system):
+        return real_factor(_singular(system) if len(sizes) == 1 else system)
+
+    monkeypatch.setattr(flow, "step", timed_step)
+    monkeypatch.setattr(banded, "factor", factor)
+    h = 0.01
+    trace = run(FlowConfig(manifold=small_config, initial=TILT, t_max=0.05,
+                           record_every=100, dt_init=h / 100))
+    assert sizes[:2] == pytest.approx([h, h / 2], rel=1e-12)
+    assert trace.rejections == [(0.0, sizes[0], None, None)]
+    assert trace.factorizations == trace.accepted
+    assert trace.records[-1].t == pytest.approx(0.05, abs=1e-12)
+
+
+def test_missing_lapack_is_a_typed_error():
+    # a library without the banded LU (here the C library) is a KrflowError
+    import ctypes
+    import ctypes.util
+    with pytest.raises(KrflowError, match="banded LU"):
+        banded._routines(ctypes.CDLL(ctypes.util.find_library("c")))
 
 
 @pytest.mark.parametrize("n", (2, 3))
@@ -476,17 +531,39 @@ def test_ros2_matches_rk4(n):
     assert len(trace.records) > 10
 
 
-def test_flow_does_not_import_scipy():
-    # scipy would cost the flow 28-52 MiB of peak memory and 0.3-0.7 s of
-    # import time (scipy.linalg, scipy.integrate); the step's banded solves
-    # are plain numpy, and this keeps them so
-    code = ("import sys, krflow\n"
+def _short_flow_in_subprocess(before, after):
+    # runs ``before``, a short flow, then ``after`` in a fresh interpreter;
+    # returns what it printed
+    code = ("import sys, krflow\n" + before +
             "config = krflow.FlowConfig(manifold=krflow.ManifoldConfig(\n"
             "    n=2, grid=krflow.build_grid(64)),\n"
             "    initial=krflow.RadialPotential((0.0, 0.2)), t_max=0.05)\n"
-            "assert krflow.run(config).accepted > 0\n"
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+            "assert krflow.run(config).factorizations > 0\n" + after)
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(krflow.__file__))}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True).stdout
+
+
+def test_flow_does_not_import_scipy():
+    # scipy would cost the flow 28-52 MiB of peak memory and 0.3-0.7 s of
+    # import time (scipy.linalg, scipy.integrate); the step's banded LU is the
+    # LAPACK inside numpy's own OpenBLAS, and the flow imports no scipy module
+    out = _short_flow_in_subprocess(
+        "", "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    assert out.strip() == "[]"
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/maps"),
+                    reason="lists the mapped shared objects from Linux's /proc/self/maps")
+def test_flow_maps_no_new_shared_object():
+    # the banded LU is found among the libraries numpy already loaded (its
+    # bundled scipy-openblas64, the one LAPACK banded.py supports), so the
+    # flow maps no shared object that importing krflow did not already map
+    objects = ("def objects():\n"
+               "    with open('/proc/self/maps') as maps:\n"
+               "        paths = (line.split()[-1] for line in maps)\n"
+               "        return {p for p in paths if '.so' in p.rsplit('/', 1)[-1]}\n")
+    _short_flow_in_subprocess(
+        objects + "before = objects()\n",
+        "assert objects() == before, sorted(objects() - before)\n"
+        "assert any('openblas' in p for p in before), sorted(before)\n")
