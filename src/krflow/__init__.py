@@ -11,11 +11,12 @@ from .errors import (
     NotInPotentialSpace,
     StepRejected,
 )
-from .flow import FlowConfig, FlowTrace, c_omega_estimate, run, step
+from .flow import FlowConfig, FlowTrace, run, step
 from .functionals import (
     FunctionalReport,
     Reference,
     RicciPotential,
+    c_omega_estimate,
     dirichlet,
     e1_energy,
     evaluate,

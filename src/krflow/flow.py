@@ -4,26 +4,35 @@ The method-of-lines system is integrated on the nodal values with the
 L-stable two-stage Rosenbrock method ROS2 (Verwer, Spee, Blom & Hundsdorfer,
 SIAM J. Sci. Comput. 20, 1999) with gamma = 1 - 1/sqrt(2). The reduced
 problem is stiff like a 1D diffusion equation: the spectral estimate in
-``_stable_dt`` caps explicit steps far below what accuracy needs. ROS2 has no such cap, so a step is as
-long as the record spacing. Each step makes two velocity evaluations and
-two linear solves with M = I - gamma dt J, where J is the velocity's exact
-Jacobian: a band of half-width 7 assembled from the stencil operators at the
-step's start state. M is LU-factored once per step by LAPACK's banded
-routines from numpy's own OpenBLAS (``banded``); an exactly singular M
-rejects the step like a cone exit.
+``_stable_dt`` caps explicit steps far below what accuracy needs. ROS2 has
+no such cap, so a step is as long as the record spacing. Each step uses two
+velocities, f0 at its start and one at its stage, and makes two linear
+solves with M = I - gamma dt J, where J is the velocity's exact Jacobian: a
+band of half-width 7 assembled from the stencil operators at the step's
+start state. M is LU-factored once per step by LAPACK's banded routines from
+numpy's own OpenBLAS (``banded``); an exactly singular M rejects the step
+like a cone exit.
+
+Each accepted state's metric profiles are derived once
+(``_kernels.profiles``). The step derives them for the array the run
+continues from, checks positivity on them, and returns them; ``run`` hands
+them to the next step, which reads f0 and the Jacobian off them, and, at a
+record time, to the record's state build. Only the stage's profiles are
+derived besides, inside the velocity kernel.
 
 Records fall on a time grid: record k sits at t = k * record_every * dt0,
 where dt0 is the initial step size (``dt_init`` or its default, capped by
 ``_stable_dt`` at the initial state). Steps are cut to land on record times
 and on t_max. A step that leaves the positive cone is rejected and retried
-at half the size; after streaks of accepted steps the size grows again, up
-to the record spacing.
+from the same start at half the size; after streaks of accepted steps the
+size grows again, up to the record spacing.
 
 Potentials would drift by an exponentially growing constant along the flow
 (the +phi term integrates the spatially constant mode). Every recorded
-functional is shift invariant, so the drift is pure gauge; ``run`` re-zeroes
-the midpoint value after each step because the drifted constant's stencil
-roundoff would otherwise contaminate the curvature columns of long traces.
+functional is shift invariant, so the drift is pure gauge; ``step``
+re-zeroes the midpoint value of its result because the drifted constant's
+stencil roundoff would otherwise contaminate the curvature columns of long
+traces.
 """
 
 from dataclasses import dataclass, field
@@ -37,13 +46,13 @@ from .errors import ConfigError, FlowAborted, StepRejected
 from .functionals import (
     _identity_terms,
     _pieces,
+    c_omega_estimate,
     fubini_study_reference,
     futaki_of_state,
     make_reference,
 )
 from .geometry import (
     ManifoldConfig,
-    RadialPotential,
     _potential_values,
     make_state,
     scalar_curvature,
@@ -131,10 +140,10 @@ class FlowRecord:
 @dataclass
 class FlowTrace:
     """Time series of functional records along one flow run, with the step
-    counts, the velocity evaluations (rejected steps included), the
-    factorizations of the step matrix, and one ``(t, dt, min_ahat,
-    min_bhat)`` entry per rejected step (the mins are None when the
-    rejection did not report them)."""
+    counts, the velocity evaluations (f0 and the stage's per attempted step;
+    f0 only when the step matrix is singular), the factorizations of the
+    step matrix, and one ``(t, dt, min_ahat, min_bhat)`` entry per rejected
+    step (the mins are None when the rejection did not report them)."""
 
     records: list = field(default_factory=list)
     c_omega: float = 0.0
@@ -246,19 +255,24 @@ def _shift_profile(ref):
     return ref.state.log_density + ref.state.phi_total + ref.potential.h
 
 
-def step(ref, phi, dt, representation="nodal", fit_degree=8, trace=None):
+def step(ref, phi, dt, representation="nodal", fit_degree=8, trace=None, start=None):
     """One ROS2 step from the relative potential ``phi``.
 
-    When a ``trace`` is given, the step adds its velocity evaluations and
-    factorizations to it. Raises StepRejected when the start state, the
-    stage or the result leaves the positive cone, or when the step matrix is
-    exactly singular; the caller is expected to halve dt and retry. Returns
-    the updated relative potential (nodal array, or RadialPotential when the
-    polynomial representation is requested).
+    ``start`` holds the profiles of the start state ``ref.state.phi_total +
+    phi`` (the ``Profiles`` a previous step returned, or a ``MetricState``);
+    f0 and the step matrix are read off it, and it is derived when omitted.
+    The result is refitted under the "polynomial" representation, then
+    re-zeroed at the midpoint. Returns ``(rel, profiles)``: the new relative
+    potential as a nodal array and the ``Profiles`` of its total potential.
+    With a ``trace``, the step adds its velocity evaluations and
+    factorization to it. Raises StepRejected when the start state, the stage
+    or the result leaves the positive cone, or when the step matrix is
+    exactly singular; the caller is expected to halve dt and retry.
     """
     g = ref.grid
     n = ref.config.n
-    total = ref.state.phi_total + _potential_values(phi, g)
+    base = ref.state.phi_total
+    total = base + _potential_values(phi, g)
     shift = _shift_profile(ref)
 
     def rejected(min_a, min_b):
@@ -266,16 +280,27 @@ def step(ref, phi, dt, representation="nodal", fit_degree=8, trace=None):
                             f"(min Ahat {min_a:.3g}, min Bhat {min_b:.3g})",
                             min_ahat=min_a, min_bhat=min_b)
 
+    def profiles(values):
+        p = _kernels.profiles(values, g.x, g.xm, g.omx, g.dx, n)
+        if p.log_density is None:
+            raise rejected(p.min_ahat, p.min_bhat)
+        return p
+
     def velocity(values):
         if trace is not None:
             trace.velocity_evals += 1
         out, p = _kernels.velocity(values, shift, g.x, g.xm, g.omx, g.dx, n)
         if out is None:
             raise rejected(p.min_ahat, p.min_bhat)
-        return out, p
+        return out
 
-    f0, p0 = velocity(total)
-    system = _jacobian_band(ref.config, p0)
+    if start is None:
+        start = profiles(total)
+    if trace is not None:
+        trace.velocity_evals += 1
+    f0 = start.log_density + total
+    f0 -= shift
+    system = _jacobian_band(ref.config, start)
     system *= -_GAMMA * dt
     system[:, _HALF_BAND] += 1.0
     try:
@@ -284,15 +309,15 @@ def step(ref, phi, dt, representation="nodal", fit_degree=8, trace=None):
         raise StepRejected(f"step matrix singular at dt = {dt:.3e} ({exc})") from exc
     if trace is not None:
         trace.factorizations += 1
-    new_total = _ros2(lambda y: velocity(y)[0], partial(banded.solve, factored), total, f0, dt)
-    p = _kernels.profiles(new_total, g.x, g.xm, g.omx, g.dx, n)
-    if p.log_density is None:
-        raise rejected(p.min_ahat, p.min_bhat)
-    rel = new_total - ref.state.phi_total
+    rel = _ros2(velocity, partial(banded.solve, factored), total, f0, dt) - base
     if representation == "polynomial":
         coeffs = np.polynomial.polynomial.polyfit(g.x, rel, fit_degree)
-        return RadialPotential(coeffs, max_degree=fit_degree)
-    return rel
+        rel = np.polynomial.polynomial.polyval(g.x, coeffs)
+    # the constant mode grows like e^t and is pure gauge (every recorded
+    # functional is shift invariant); left alone it reaches ~1e3 by t ~ 10
+    # and its stencil roundoff pollutes the derivative-heavy record columns
+    rel = rel - rel[g.size // 2]
+    return rel, profiles(base + rel)
 
 
 def _record(ref, state, t):
@@ -325,6 +350,7 @@ def run(config):
     base = ref.state.phi_total
     rel = _potential_values(config.initial, g)
     state = state_from_total(manifold, base + rel)  # validates the initial data
+    start = state
 
     trace = FlowTrace(c_omega=c_omega_estimate(ref))
     trace.records.append(_record(ref, state, 0.0))
@@ -346,8 +372,8 @@ def run(config):
         # land on the record time instead of leaving a roundoff-sized sliver
         dt_step = remaining if remaining <= dt * (1.0 + 1e-9) else dt
         try:
-            new = step(ref, rel, dt_step, config.representation, config.fit_degree,
-                       trace=trace)
+            rel, start = step(ref, rel, dt_step, config.representation, config.fit_degree,
+                              trace=trace, start=start)
         except StepRejected as exc:
             trace.rejections.append((t, dt_step, exc.min_ahat, exc.min_bhat))
             halvings += 1
@@ -359,14 +385,9 @@ def run(config):
                     trace=trace)
             continue
         halvings = 0
-        rel = _potential_values(new, g)
-        # the constant mode grows like e^t and is pure gauge (every recorded
-        # functional is shift invariant); left alone it reaches ~1e3 by t ~ 10
-        # and its stencil roundoff pollutes the derivative-heavy record columns
-        rel = rel - rel[g.size // 2]
         landed = dt_step >= remaining
         if landed:  # the last step lands on t_max
-            state = state_from_total(manifold, base + rel)
+            state = state_from_total(manifold, base + rel, _profiles=start)
         t = t_next if landed else t + dt_step
         trace.accepted += 1
         streak += 1
@@ -379,12 +400,3 @@ def run(config):
     if trace.records[-1].t < t:
         trace.records.append(_record(ref, state, t))
     return trace
-
-
-def c_omega_estimate(ref):
-    """The reference constant, measured as the identity residual at phi = 0.
-
-    Equal (within discretization error) to the residual at any other
-    potential and at any flow time.
-    """
-    return _identity_terms(ref, _pieces(ref, ref.state, np.zeros_like(ref.state.phi_total)))[3]

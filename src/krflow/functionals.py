@@ -171,6 +171,11 @@ def _pieces(ref, state, values):
     return _Pieces(state, values, centered, log_rel, _mixed_averages(ref, state, centered))
 
 
+def _reference_pieces(ref):
+    """The pieces at phi = 0, read off ``ref.state`` without a state build."""
+    return _pieces(ref, ref.state, np.zeros_like(ref.state.phi_total))
+
+
 def mixed_sum(ref, phi, coeffs):
     """sum_k coeffs[k]/(n+1) <avg of phi * (ref^k wedge perturbed^(n-k))>."""
     coeffs = np.asarray(coeffs, dtype=np.float64)
@@ -262,6 +267,15 @@ def identity_residual(ref, phi, e1_coeffs=None):
     return _identity_terms(ref, _pieces(ref, *_relative_state(ref, phi)), e1_coeffs)[3]
 
 
+def c_omega_estimate(ref, e1_coeffs=None):
+    """The reference constant, measured as the identity residual at phi = 0.
+
+    Equal (within discretization error) to the residual at any other
+    potential and at any flow time. Reads ``ref.state``; builds no state.
+    """
+    return _identity_terms(ref, _reference_pieces(ref), e1_coeffs)[3]
+
+
 def futaki(ref):
     """Futaki invariant paired with the radial holomorphic generator.
 
@@ -269,16 +283,16 @@ def futaki(ref):
     average of d_ds h against the reference volume. Independent of which
     metric in the class plays the reference role.
     """
-    return _futaki(ref.potential.h, ref.state.density, ref.config)
+    return average(d_ds(ref.potential.h, ref.grid) * ref.state.density, ref.config)
 
 
 def futaki_of_state(state):
-    """Futaki invariant computed from an arbitrary positive state."""
-    return _futaki(ricci_potential(state).h, state.density, state.config)
+    """Futaki invariant computed from an arbitrary positive state.
 
-
-def _futaki(h, density, config):
-    return average(d_ds(h, config.grid) * density, config)
+    The Ricci potential's defining equation is d_ds h = B_ric - B, so the
+    invariant reads the state's Ricci profile without solving for h.
+    """
+    return average((state.ricci.b - state.form.b) * state.density, state.config)
 
 
 def evaluate(ref, phi, e1_coeffs=None):

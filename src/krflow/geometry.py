@@ -166,17 +166,21 @@ def _potential_values(phi, grid):
     return values
 
 
-def state_from_total(config, phi_total):
+def state_from_total(config, phi_total, _profiles=None):
     """Build a MetricState from the total nodal potential (background-relative).
 
     One code path for polynomial-sampled and flow (nodal) states alike: all
     derivatives come from the fourth-order stencils, so every downstream
-    quantity converges at the same designed order.
+    quantity converges at the same designed order. ``_profiles``, when
+    given, must be ``_kernels.profiles`` of exactly ``phi_total``; the flow
+    hands over the profiles its step already derived.
     """
     g = config.grid
     n = config.n
     phi_total = _potential_values(phi_total, g)
-    p = _kernels.profiles(phi_total, g.x, g.xm, g.omx, g.dx, n)
+    p = _profiles
+    if p is None:
+        p = _kernels.profiles(phi_total, g.x, g.xm, g.omx, g.dx, n)
     if p.log_density is None:
         raise NotInPotentialSpace(
             f"metric not positive: min Ahat = {p.min_ahat:.6g}, min Bhat = {p.min_bhat:.6g}")

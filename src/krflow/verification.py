@@ -14,6 +14,12 @@ from .errors import ConfigError
 from .calculus import build_grid, d_ds
 from .flow import FlowConfig, run
 from .functionals import (
+    _e1_energy_from,
+    _j_energy_from,
+    _k_energy_from,
+    _reference_pieces,
+    _weighted,
+    c_omega_estimate,
     e1_coefficients,
     e1_energy,
     evaluate,
@@ -29,7 +35,6 @@ from .functionals import (
 from .geometry import (
     ManifoldConfig,
     RadialPotential,
-    ZERO_POTENTIAL,
     average,
     laplacian,
     make_state,
@@ -241,15 +246,16 @@ def run_suite(config):
     potentials = sample_admissible(manifold, rng, config.samples,
                                    coeff_bound=config.coeff_bound, degree=config.degree)
 
-    # energies at the sampled potentials (background reference)
-    reports = [evaluate(fs_ref, phi) for phi in potentials]
+    # energies at the sampled potentials (background reference); their
+    # residuals feed the background residual-constancy check below
+    reports = [evaluate(fs_ref, phi, e1_coeffs) for phi in potentials]
     add("j_expressions_agree",
         max(abs(r.j - r.j_mixed) / (1.0 + abs(r.j)) for r in reports))
     add("j_nonneg", max(0.0, -min(r.j for r in reports)))
 
     shift_drift = 0.0
     for phi, report in zip(potentials[:3], reports):
-        shifted = evaluate(fs_ref, phi + RadialPotential((0.75,)))
+        shifted = evaluate(fs_ref, phi + RadialPotential((0.75,)), e1_coeffs)
         shift_drift = max(shift_drift, abs(shifted.j - report.j),
                           abs(shifted.nu - report.nu), abs(shifted.e1 - report.e1))
     add("shift_invariance", shift_drift)
@@ -277,8 +283,13 @@ def run_suite(config):
         worst = max(cocycle_check(fs_ref, p1, p2, key)
                     for p1, p2 in zip(potentials[:3], potentials[3:6]))
         add(name, worst)
-    diag = max(abs(f(bent_ref, ZERO_POTENTIAL)) for f in _FUNCTIONALS.values())
-    diag = max(diag, *(abs(f(fs_ref, ZERO_POTENTIAL)) for f in _FUNCTIONALS.values()))
+    diag = 0.0
+    for ref in (bent_ref, fs_ref):
+        pieces = _reference_pieces(ref)
+        values = (_j_energy_from(ref, pieces)[0], _k_energy_from(ref, pieces),
+                  _e1_energy_from(ref, pieces),
+                  _weighted(np.ones(n + 1), pieces.mixed))  # the mixed energy
+        diag = max(diag, *(abs(v) for v in values))
     add("diagonal_vanishing", diag)
 
     # Ricci potential defining conditions
@@ -310,14 +321,14 @@ def run_suite(config):
     # the energy identity residual is a constant of the reference
     for name, ref in (("residual_constancy_background", fs_ref),
                       ("residual_constancy_perturbed", bent_ref)):
+        residuals = [c_omega_estimate(ref, e1_coeffs)]
         if ref is bent_ref:
             usable = sample_admissible(manifold, rng, config.samples,
                                        coeff_bound=config.coeff_bound,
                                        degree=config.degree, base=ref.state)
+            residuals += [identity_residual(ref, phi, e1_coeffs=e1_coeffs) for phi in usable]
         else:
-            usable = potentials
-        residuals = [identity_residual(ref, ZERO_POTENTIAL, e1_coeffs=e1_coeffs)]
-        residuals += [identity_residual(ref, phi, e1_coeffs=e1_coeffs) for phi in usable]
+            residuals += [r.residual for r in reports]
         spread = max(residuals) - min(residuals)
         add(name, spread / (1.0 + abs(residuals[0])))
 

@@ -25,7 +25,13 @@ from krflow.flow import (
     step,
 )
 from krflow.functionals import dirichlet, fubini_study_reference
-from krflow.geometry import ManifoldConfig, RadialPotential, make_state, state_from_total
+from krflow.geometry import (
+    ManifoldConfig,
+    MetricState,
+    RadialPotential,
+    make_state,
+    state_from_total,
+)
 
 ZERO = RadialPotential((0.0,))
 TILT = RadialPotential((0.0, 0.2))
@@ -85,7 +91,9 @@ def test_fixed_point_is_stationary(small_config):
 
 
 def test_step_richardson_order(small_config):
-    # phi + dt v(phi) differs from the second-order ROS2 update by O(dt^2)
+    # phi + dt v(phi) differs from the second-order ROS2 update by O(dt^2);
+    # the step re-zeroes its result at the midpoint, so the Euler update is
+    # compared re-zeroed too
     ref = fubini_study_reference(small_config)
     g = small_config.grid
     from krflow.functionals import flow_velocity
@@ -93,8 +101,9 @@ def test_step_richardson_order(small_config):
     v = flow_velocity(ref, TILT)
     gaps = []
     for dt in (1e-3, 5e-4):
-        updated = step(ref, phi, dt)
-        gaps.append(np.abs(updated - (phi + dt * v)).max())
+        updated, _ = step(ref, phi, dt)
+        euler = phi + dt * v
+        gaps.append(np.abs(updated - (euler - euler[g.size // 2])).max())
     ratio = gaps[0] / gaps[1]
     assert 3.0 < ratio < 5.0
 
@@ -118,7 +127,9 @@ def test_step_accuracy_at_record_spacing():
 def _cone_exit(monkeypatch, start, stop, longest=0.0):
     """Make the velocity kernel report a cone exit (min Ahat and min Bhat
     FAILED_MINS) in every step longer than ``longest`` that overlaps the
-    flow-time window (start, stop). Flow time is the sum of the steps that
+    flow-time window (start, stop). A step calls the kernel at its stage
+    only (f0 comes from the start's handed-over profiles), so the step is
+    rejected after its factorization. Flow time is the sum of the steps that
     ``flow.step`` accepted, as ``run`` takes them."""
     clock = {"t": 0.0, "dt": 0.0}
     real_step, real_velocity = flow.step, _kernels.velocity
@@ -146,7 +157,7 @@ def test_step_rejects_large_dt(small_config, monkeypatch):
     # cone. Inside a window where the velocity kernel reports a cone exit,
     # the same step raises StepRejected with the minima that failed
     ref = fubini_study_reference(small_config)
-    out = step(ref, TILT, 100.0)
+    out, _ = step(ref, TILT, 100.0)
     assert make_state(small_config, out).ahat.min() > 0.0
     # the explicit RK4 reference integrator leaves the cone at dt = 1e3
     g = small_config.grid
@@ -161,11 +172,123 @@ def test_step_rejects_large_dt(small_config, monkeypatch):
 
 
 def test_step_polynomial_representation(small_config):
+    # the refit result, re-zeroed at the midpoint, is a polynomial of degree
+    # fit_degree up to a constant, and stays within 1e-10 of the nodal step
     ref = fubini_study_reference(small_config)
-    out = step(ref, TILT, 1e-5, representation="polynomial", fit_degree=8)
-    assert isinstance(out, RadialPotential)
-    nodal = step(ref, TILT, 1e-5)
-    assert np.abs(out.values(small_config.grid) - nodal).max() < 1e-10
+    g = small_config.grid
+    out, _ = step(ref, TILT, 1e-5, representation="polynomial", fit_degree=8)
+    coeffs = np.polynomial.polynomial.polyfit(g.x, out, 8)
+    assert np.abs(np.polynomial.polynomial.polyval(g.x, coeffs) - out).max() < 1e-14
+    assert out[g.size // 2] == 0.0
+    nodal, _ = step(ref, TILT, 1e-5)
+    assert np.abs(out - nodal).max() < 1e-10
+
+
+@pytest.mark.parametrize("representation", ("nodal", "polynomial"))
+@pytest.mark.parametrize("n", (1, 2, 3))
+def test_step_hands_off_its_profiles(n, representation, monkeypatch):
+    # each accepted step returns the profiles of the array the run continues
+    # from, bitwise those of a fresh derivation, and the run hands them to
+    # the next step and to the record's state build. The first step starts
+    # from the initial state; the second is rejected once at its stage, and
+    # its retry starts from the same profiles
+    config = ManifoldConfig(n=n, grid=build_grid(128))
+    g = config.grid
+    calls, builds = [], []
+    real_step, real_velocity = flow.step, _kernels.velocity
+    real_build = flow.state_from_total
+
+    def spy(ref, phi, dt, *args, start=None, **kwargs):
+        calls.append({"ref": ref, "start": start, "out": None})
+        calls[-1]["out"] = real_step(ref, phi, dt, *args, start=start, **kwargs)
+        return calls[-1]["out"]
+
+    def velocity(*args):
+        out, p = real_velocity(*args)
+        return (None, p) if len(calls) == 2 and calls[-1]["out"] is None else (out, p)
+
+    def build(config, phi_total, _profiles=None):
+        builds.append(_profiles)
+        return real_build(config, phi_total, _profiles=_profiles)
+
+    monkeypatch.setattr(flow, "step", spy)
+    monkeypatch.setattr(_kernels, "velocity", velocity)
+    monkeypatch.setattr(flow, "state_from_total", build)
+    trace = run(FlowConfig(manifold=config, initial=TILT, t_max=0.05, record_every=100,
+                           dt_init=1e-4, representation=representation,
+                           reference=RadialPotential((0.0, 0.2, 0.1))))
+    assert trace.rejected == 1 and calls[1]["out"] is None
+    assert trace.accepted == len(calls) - 1 > 3
+    assert isinstance(calls[0]["start"], MetricState) and builds[0] is None
+    assert calls[2]["start"] is calls[1]["start"] is calls[0]["out"][1]
+    accepted = [c for c in calls if c["out"] is not None]
+    for prev, cur in zip(accepted, accepted[1:]):
+        assert cur["start"] is prev["out"][1]
+    # one state build per later record, each from the profiles of a step
+    handed = {id(c["out"][1]) for c in accepted}
+    assert len(builds) == len(trace.records)
+    assert all(id(b) in handed for b in builds[1:])
+    for call in accepted:
+        rel, returned = call["out"]
+        fresh = _kernels.profiles(call["ref"].state.phi_total + rel, g.x, g.xm, g.omx,
+                                  g.dx, n)
+        for name, value in returned._asdict().items():
+            assert np.array_equal(value, getattr(fresh, name)), name
+
+
+def test_landed_interval_derives_profiles_twice(monkeypatch):
+    # a record interval of one landed step without rejection derives the
+    # metric profiles twice: at the stage (inside the velocity kernel) and at
+    # the accepted state, which the record's state build and the next step
+    # reuse. Before the first record: the reference and the initial state
+    config = ManifoldConfig(n=2, grid=build_grid(128))
+    counts, seen = [], {"profiles": 0}
+    real_profiles, real_record = _kernels.profiles, flow._record
+
+    def profiles(*args):
+        seen["profiles"] += 1
+        return real_profiles(*args)
+
+    def record(*args):
+        counts.append(seen["profiles"])
+        return real_record(*args)
+
+    monkeypatch.setattr(_kernels, "profiles", profiles)
+    monkeypatch.setattr(flow, "_record", record)
+    trace = run(FlowConfig(manifold=config, initial=TILT, t_max=0.1, record_every=100,
+                           dt_init=1e-4))
+    assert trace.rejected == 0 and trace.accepted == len(trace.records) - 1 == 10
+    assert counts[0] == 2
+    assert np.diff(counts).tolist() == [2] * trace.accepted
+
+
+def test_polynomial_refit_outside_cone_rejects_step(small_config, monkeypatch):
+    # a refit that leaves the positive cone (here -5 x^2: min Ahat -2/3 and
+    # min Bhat -1/4) is a rejected step: the run halves dt and goes on from
+    # the same start
+    real_polyfit = np.polynomial.polynomial.polyfit
+    fits = []
+
+    def polyfit(x, y, degree):
+        fits.append(degree)
+        if len(fits) == 1:
+            return np.array([0.0, 0.0, -5.0] + [0.0] * (degree - 2))
+        return real_polyfit(x, y, degree)
+
+    monkeypatch.setattr(np.polynomial.polynomial, "polyfit", polyfit)
+    ref = fubini_study_reference(small_config)
+    with pytest.raises(StepRejected) as info:
+        step(ref, TILT, 0.01, representation="polynomial")
+    mins = (info.value.min_ahat, info.value.min_bhat)
+    assert mins == pytest.approx((-2.0 / 3.0, -0.25), abs=1e-3)
+    fits.clear()
+    h = 0.01
+    trace = run(FlowConfig(manifold=small_config, initial=TILT, t_max=0.05,
+                           record_every=100, dt_init=h / 100, representation="polynomial"))
+    assert len(trace.rejections) == 1
+    assert trace.rejections[0] == pytest.approx((0.0, h) + mins, rel=1e-12)
+    assert trace.records[-1].t == pytest.approx(0.05, abs=1e-12)
+    assert trace.min_positivity() > 0.0
 
 
 def test_run_rejection_and_halving(small_config, monkeypatch):
@@ -186,10 +309,11 @@ def test_run_rejection_and_halving(small_config, monkeypatch):
                                                       (0.1, h / 2) + FAILED_MINS], atol=1e-12)
     for t, dt, min_a, min_b in trace.rejections:
         assert 0.1 - 1e-12 <= t < 0.2025 and dt > h / 4
-    # a rejected step stops at its first velocity evaluation, before the
-    # factorization
-    assert trace.velocity_evals == 2 * trace.accepted + trace.rejected
-    assert trace.factorizations == trace.accepted > plain.accepted
+    # a rejected step stops at its stage velocity, after the factorization:
+    # two velocity evaluations and one factorization per attempted step
+    assert trace.velocity_evals == 2 * (trace.accepted + trace.rejected)
+    assert trace.factorizations == trace.accepted + trace.rejected
+    assert trace.accepted > plain.accepted
     assert [rec.t for rec in trace.records] == pytest.approx(
         [h * k for k in range(51)], abs=1e-12)
     assert trace.min_positivity() > 0.0

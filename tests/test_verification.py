@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from krflow import flow, functionals, geometry, verification
 from krflow.calculus import build_grid
 from krflow.functionals import fubini_study_reference
 from krflow.geometry import ManifoldConfig, RadialPotential, sample_admissible
@@ -121,6 +122,42 @@ def test_suite_h_mutation_detected():
                                    h_norm_offset=0.1))
     failed = {e.name for e in report.entries if not e.passed}
     assert failed == {"h_normalization"}
+
+
+def test_suite_state_builds(monkeypatch):
+    # outside the sampler and the short flow, a suite with S samples and P
+    # finite-difference pairs builds 48 + 2 S + 12 P states: the two
+    # references (2), the S reports (S), the shifted copies (3), 3 per
+    # identity and pair (12 P), the cocycle legs (36), the Futaki pool (2),
+    # the curvature averages (5) and the perturbed residuals (S). The
+    # background residuals read the reports, and the zero-potential residuals
+    # and the diagonal read each reference's own state
+    counts = {"suite": 0, "sampler": 0, "flow": 0}
+    phase = ["suite"]
+    real_build = geometry.state_from_total
+
+    def build(*args, **kwargs):
+        counts[phase[-1]] += 1
+        return real_build(*args, **kwargs)
+
+    def within(name, func):
+        def wrapped(*args, **kwargs):
+            phase.append(name)
+            try:
+                return func(*args, **kwargs)
+            finally:
+                phase.pop()
+        return wrapped
+
+    for module in (geometry, functionals, flow):
+        monkeypatch.setattr(module, "state_from_total", build)
+    monkeypatch.setattr(verification, "sample_admissible",
+                        within("sampler", verification.sample_admissible))
+    monkeypatch.setattr(verification, "run", within("flow", verification.run))
+    run_suite(SuiteConfig(n=2, grid_size=128, samples=6, fd_pairs=1, flow_grid=64,
+                          flow_t_max=0.05))
+    assert counts["suite"] == 48 + 2 * 6 + 12 * 1
+    assert counts["sampler"] >= 6 + 2 + 1 + 6 and counts["flow"] >= 2
 
 
 def test_tolerance_overrides():
