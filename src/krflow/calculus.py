@@ -77,13 +77,16 @@ def over_xm(values, grid):
     """f/(x(1-x)) at every node, for profiles f that vanish at x = 0, 1.
 
     The endpoint entries are 0/0 with finite limits; each is the one-sided
-    quartic extrapolation of the five nearest interior quotients.
+    quartic extrapolation of the five nearest interior quotients, on Python
+    floats (the same operations as on numpy scalars, so the same bits).
     """
     f = _check_shape(values, grid)
     g = np.empty_like(f)
-    g[1:-1] = f[1:-1] / grid.xm[1:-1]
-    g[0] = 5.0 * g[1] - 10.0 * g[2] + 10.0 * g[3] - 5.0 * g[4] + g[5]
-    g[-1] = 5.0 * g[-2] - 10.0 * g[-3] + 10.0 * g[-4] - 5.0 * g[-5] + g[-6]
+    np.divide(f[1:-1], grid.xm[1:-1], out=g[1:-1])
+    g1, g2, g3, g4, g5 = g[1:6].tolist()
+    g[0] = 5.0 * g1 - 10.0 * g2 + 10.0 * g3 - 5.0 * g4 + g5
+    h5, h4, h3, h2, h1 = g[-6:-1].tolist()
+    g[-1] = 5.0 * h1 - 10.0 * h2 + 10.0 * h3 - 5.0 * h4 + h5
     return g
 
 
@@ -91,14 +94,14 @@ def integrate_ds(values, grid, endpoint_bound=1e8):
     """Integral of f ds over the whole chart, i.e. of f(x)/(x(1-x)) dx.
 
     The integrand (``over_xm``) is fed to the composite rule. Raises
-    DivergentIntegrand when an extrapolated endpoint value exceeds
-    ``endpoint_bound`` (the true integral then almost certainly diverges).
+    DivergentIntegrand unless both extrapolated endpoint values are finite
+    and within ``endpoint_bound`` (else the integral almost surely diverges).
     """
     g = over_xm(values, grid)
-    if not np.isfinite(g[0]) or not np.isfinite(g[-1]) \
-            or max(abs(g[0]), abs(g[-1])) > endpoint_bound:
+    lo, hi = float(g[0]), float(g[-1])
+    if not (abs(lo) <= endpoint_bound and abs(hi) <= endpoint_bound):
         raise DivergentIntegrand(
-            f"extrapolated endpoint values ({g[0]:.3e}, {g[-1]:.3e}) exceed bound {endpoint_bound:.1e}")
+            f"extrapolated endpoint values ({lo:.3e}, {hi:.3e}) exceed bound {endpoint_bound:.1e}")
     return float(grid.quad_weights @ g)
 
 

@@ -185,8 +185,9 @@ def state_from_total(config, phi_total, _profiles=None):
         raise NotInPotentialSpace(
             f"metric not positive: min Ahat = {p.min_ahat:.6g}, min Bhat = {p.min_bhat:.6g}")
 
-    b_ric = n - (n - 1) * (g.omx + g.xm * d_dx(p.q, g) / p.q) \
-        - ((1.0 - 2.0 * g.x) + g.xm * d_dx(p.r, g) / p.r)
+    # at n = 1 the q term is exactly +-0 (q > 0) and 1 - (+-0) = 1: skip it
+    ric_q = n - (n - 1) * (g.omx + g.xm * d_dx(p.q, g) / p.q) if n > 1 else 1.0
+    b_ric = ric_q - ((1.0 - 2.0 * g.x) + g.xm * d_dx(p.r, g) / p.r)
     db_ric = d_dx(b_ric, g)
     form = RadialForm(a=g.xm * p.r, b=p.b)
 
@@ -227,23 +228,26 @@ def wedge_density(forms, n):
     ``forms`` is a sequence of (RadialForm, multiplicity) pairs whose
     multiplicities sum to n. Multiplicity 0 entries are allowed and ignored.
     """
-    active = [(f, int(m)) for f, m in forms if int(m) != 0]
-    if any(m < 0 for _, m in active):
-        raise ConfigError("wedge multiplicities must be nonnegative")
-    if sum(m for _, m in active) != n:
+    active, total = [], 0
+    for f, m in forms:
+        m = int(m)
+        if m < 0:
+            raise ConfigError("wedge multiplicities must be nonnegative")
+        if m:
+            active.append((f, m))
+            total += m
+    if total != n:
         raise ConfigError(f"wedge multiplicities must sum to the dimension {n}")
     if not active:
         raise ConfigError("empty wedge product")
-    size = active[0][0].b.shape[0]
-    density = np.zeros(size)
     for j, (fj, mj) in enumerate(active):
-        term = mj * fj.a
+        term = mj * fj.a  # a new array, so the sum never aliases an input
         if mj > 1:
             term = term * fj.b ** (mj - 1)
         for k, (fk, mk) in enumerate(active):
             if k != j:
                 term = term * fk.b ** mk
-        density += term
+        density = term if j == 0 else np.add(density, term, out=density)
     return density
 
 

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from krflow.calculus import build_grid, cumulative_dx, d_dx, d_ds, integrate_ds
+from krflow import _kernels
+from krflow.calculus import build_grid, cumulative_dx, d_dx, d_ds, integrate_ds, over_xm
 from krflow.errors import ConfigError, DivergentIntegrand
 from krflow.geometry import ManifoldConfig, background, wedge_density
 
@@ -35,6 +36,48 @@ def test_d_dx_exact_on_low_degree_polynomials(grid256, degree):
         grid256.x, np.polynomial.polynomial.polyder(coeffs))
     out = d_dx(f, grid256)
     assert np.abs(out - expected).max() < 1e-11 * (1 + np.abs(expected).max())
+
+
+def test_d_dx_drift_sized_constant_is_exactly_zero_at_the_closures(grid512):
+    out = d_dx(1e3 + 0.0 * grid512.x, grid512)
+    assert out[[0, 1, -2, -1]].tolist() == [0.0, 0.0, 0.0, 0.0]
+
+
+def test_d_dx_bits_match_the_plain_stencil(rng):
+    # the stencil written out on numpy arrays and scalars, as a reference for
+    # the in-place interior and the closure rows on Python floats
+    for size in (6, 7, 513, 1025, 2049) * 20:
+        f = rng.standard_normal(size) * 10.0 ** rng.uniform(-3, 3, size)
+        dx = 1.0 / (size - 1)
+        c, c6 = 1.0 / (12.0 * dx), 1.0 / (60.0 * dx)
+        ref = np.empty(size)
+        ref[2:-2] = ((f[:-4] - f[4:]) + 8.0 * (f[3:-1] - f[1:-3])) * c
+        ref[0] = (300.0 * (f[1] - f[0]) - 300.0 * (f[2] - f[0]) + 200.0 * (f[3] - f[0])
+                  - 75.0 * (f[4] - f[0]) + 12.0 * (f[5] - f[0])) * c6
+        ref[1] = (-12.0 * (f[0] - f[1]) + 120.0 * (f[2] - f[1]) - 60.0 * (f[3] - f[1])
+                  + 20.0 * (f[4] - f[1]) - 3.0 * (f[5] - f[1])) * c6
+        ref[-2] = (12.0 * (f[-1] - f[-2]) - 120.0 * (f[-3] - f[-2]) + 60.0 * (f[-4] - f[-2])
+                   - 20.0 * (f[-5] - f[-2]) + 3.0 * (f[-6] - f[-2])) * c6
+        ref[-1] = (-300.0 * (f[-2] - f[-1]) + 300.0 * (f[-3] - f[-1]) - 200.0 * (f[-4] - f[-1])
+                   + 75.0 * (f[-5] - f[-1]) - 12.0 * (f[-6] - f[-1])) * c6
+        assert _kernels.d_dx(f, dx).tobytes() == ref.tobytes()
+
+
+def test_d_dx_strided_and_int_inputs_match_contiguous_float(grid512, rng):
+    wide = rng.standard_normal(2 * (grid512.size + 1))
+    strided = wide[::2]
+    assert not strided.flags.c_contiguous
+    expected = d_dx(np.ascontiguousarray(strided), grid512)
+    assert d_dx(strided, grid512).tobytes() == expected.tobytes()
+    ints = rng.integers(-1000, 1000, grid512.size + 1)
+    expected = d_dx(ints.astype(np.float64), grid512)
+    assert d_dx(ints, grid512).tobytes() == expected.tobytes()
+
+
+def test_d_dx_needs_six_nodes():
+    with pytest.raises(ValueError):
+        _kernels.d_dx(np.zeros(5), 0.25)
+    assert _kernels.d_dx(np.arange(6.0), 1.0).tolist() == [1.0] * 6
 
 
 def test_d_dx_quadratic_example(grid256):
@@ -114,6 +157,29 @@ def test_integrate_fourth_order_convergence():
 def test_integrate_flags_divergent_integrand(grid1024):
     with pytest.raises(DivergentIntegrand):
         integrate_ds(np.full(grid1024.size + 1, 1e7), grid1024, endpoint_bound=1e8)
+
+
+@pytest.mark.parametrize("side", [3, -4])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_integrate_flags_nonfinite_endpoint(grid256, side, bad):
+    # one non-finite quotient next to an endpoint makes its extrapolation
+    # NaN or infinite; no silent NaN comes back
+    f = grid256.xm * np.cos(grid256.x)
+    f[side] = bad
+    endpoint = over_xm(f, grid256)[0 if side > 0 else -1]
+    assert not np.isfinite(endpoint)
+    with pytest.raises(DivergentIntegrand):
+        integrate_ds(f, grid256)
+
+
+def test_over_xm_bits_match_the_plain_extrapolation(grid512, rng):
+    for _ in range(50):
+        f = grid512.xm * rng.standard_normal(grid512.size + 1)
+        ref = np.empty_like(f)
+        ref[1:-1] = f[1:-1] / grid512.xm[1:-1]
+        ref[0] = 5.0 * ref[1] - 10.0 * ref[2] + 10.0 * ref[3] - 5.0 * ref[4] + ref[5]
+        ref[-1] = 5.0 * ref[-2] - 10.0 * ref[-3] + 10.0 * ref[-4] - 5.0 * ref[-5] + ref[-6]
+        assert over_xm(f, grid512).tobytes() == ref.tobytes()
 
 
 def test_integrate_accepts_large_but_admissible(grid256):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from krflow import _kernels
-from krflow.calculus import build_grid, d_ds, integrate_ds
+from krflow.calculus import build_grid, d_ds, d_dx, integrate_ds
 from krflow.errors import ConfigError, NotInPotentialSpace
 from krflow.geometry import (
     ManifoldConfig,
@@ -104,6 +104,43 @@ def test_wedge_density_degree_mismatch(config2):
         wedge_density([(bg.form, 1)], 2)
     with pytest.raises(ConfigError):
         wedge_density([(bg.form, -1), (bg.form, 3)], 2)
+
+
+def test_wedge_density_rejects_empty_and_zero_only(config1):
+    bg = background(config1)
+    for n in (0, 1):
+        with pytest.raises(ConfigError):
+            wedge_density([], n)
+        with pytest.raises(ConfigError):
+            wedge_density([(bg.form, 0), (bg.form, 0)], n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_wedge_density_returns_a_fresh_array(grid256, n):
+    cfg = ManifoldConfig(n=n, grid=grid256)
+    state = make_state(cfg, RadialPotential((0.0, 0.1)))
+    bg = background(cfg)
+    for forms in ([(state.form, n)], [(bg.form, 0), (state.form, n)],
+                  [(state.ricci, 1), (state.form, n - 1)]):
+        density = wedge_density(forms, n)
+        for form, _ in forms:
+            assert not np.shares_memory(density, form.a)
+            assert not np.shares_memory(density, form.b)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_ricci_profile_matches_the_general_formula(grid512, rng, n):
+    # at n = 1 the state build skips the (n - 1) q term; the bits must be
+    # those of the full expression
+    cfg = ManifoldConfig(n=n, grid=grid512)
+    g = cfg.grid
+    for phi in sample_admissible(cfg, rng, 3):
+        state = make_state(cfg, phi)
+        q, r = state.q, state.r
+        general = n - (n - 1) * (g.omx + g.xm * d_dx(q, g) / q) \
+            - ((1.0 - 2.0 * g.x) + g.xm * d_dx(r, g) / r)
+        assert np.array_equal(state.ricci.b, general)
+        assert state.ricci.b.tobytes() == general.tobytes()
 
 
 def test_closed_form_exactness(config2, rng):
