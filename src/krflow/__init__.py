@@ -22,7 +22,7 @@ from .functionals import (
     evaluate,
     flow_velocity,
     fubini_study_reference,
-    futaki,
+    futaki_of_state,
     identity_residual,
     j_energy,
     k_energy,
@@ -66,7 +66,7 @@ __all__ = [
     "SuiteConfig", "SuiteReport", "VariationalCheck", "average", "background",
     "build_grid", "c_omega_estimate", "cocycle_check", "d_dx", "d_ds",
     "dirichlet", "e1_energy", "evaluate", "flow_velocity",
-    "fubini_study_reference", "futaki", "gradient_pairing",
+    "fubini_study_reference", "futaki_of_state", "gradient_pairing",
     "identity_residual", "integrate_ds", "j_energy", "k_energy",
     "kernel_backend", "laplacian", "make_reference", "make_state",
     "mixed_sum", "re_reference", "ricci_potential", "run", "run_suite",

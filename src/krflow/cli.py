@@ -16,7 +16,7 @@ import numpy as np
 from .calculus import build_grid
 from .errors import FlowAborted, KrflowError, NotInPotentialSpace, ConfigError
 from .flow import FlowConfig, TRACE_COLUMNS, run
-from .functionals import evaluate, fubini_study_reference, futaki, make_reference
+from .functionals import evaluate, fubini_study_reference, futaki_of_state, make_reference
 from .geometry import ManifoldConfig, RadialPotential, make_state, sample_admissible
 from .verification import DEFAULT_TOLERANCES, SuiteConfig, run_suite
 
@@ -24,8 +24,7 @@ _SCHEMA = {
     "run": {"n", "grid_size"},
     "reference": {"coeffs"},
     "potential": {"coeffs", "random", "seed", "rho", "degree"},
-    "flow": {"t_max", "dt_init", "dt_safety", "record_every", "representation",
-             "fit_degree"},
+    "flow": {"t_max", "dt_init", "record_every"},
     "suite": {"seed", "samples", "fd_pairs", "fd_dt", "flow_grid", "flow_t_max",
               "flow_record_every", "reference_coeffs", "rho", "degree"},
     "tolerances": None,  # any known tolerance name; validated separately
@@ -114,6 +113,18 @@ def _suite_config(parser, manifold):
     )
 
 
+def _flow_config(parser, manifold):
+    sec = parser["flow"] if parser.has_section("flow") else {}
+    return FlowConfig(
+        manifold=manifold,
+        initial=_potential(parser, manifold),
+        t_max=float(sec.get("t_max", 1.0)),
+        dt_init=float(sec["dt_init"]) if sec.get("dt_init") else None,
+        record_every=int(sec.get("record_every", 200)),
+        reference=_reference_potential(parser),
+    )
+
+
 def default_config_path():
     """Path of the bundled verification config."""
     return resources.files("krflow") / "configs" / "verify_default.ini"
@@ -169,21 +180,8 @@ def cmd_flow(config_path, out_path):
     """Run the flow, write the trace plus a summary block; exit 1 when the
     flow aborts or the inequality verdict fails."""
     parser = load_config(config_path)
-    manifold = _manifold(parser)
-    sec = parser["flow"] if parser.has_section("flow") else {}
-    flow_config = FlowConfig(
-        manifold=manifold,
-        initial=_potential(parser, manifold),
-        t_max=float(sec.get("t_max", 1.0)),
-        dt_init=float(sec["dt_init"]) if sec.get("dt_init") else None,
-        dt_safety=float(sec.get("dt_safety", 0.9)),
-        record_every=int(sec.get("record_every", 200)),
-        reference=_reference_potential(parser),
-        representation=sec.get("representation", "nodal"),
-        fit_degree=int(sec.get("fit_degree", 8)),
-    )
     try:
-        trace = run(flow_config)
+        trace = run(_flow_config(parser, _manifold(parser)))
     except FlowAborted as exc:
         print(f"flow aborted: {exc}", file=sys.stderr)
         return 1
@@ -218,7 +216,7 @@ def cmd_eval(config_path, phi_text):
         ("e1", report.e1),
         ("dirichlet", report.dirichlet),
         ("residual", report.residual),
-        ("futaki", futaki(ref)),
+        ("futaki", futaki_of_state(ref.state)),
         ("c0", report.c0),
         ("c1", report.c1),
     ):

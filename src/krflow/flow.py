@@ -24,8 +24,9 @@ Records fall on a time grid: record k sits at t = k * record_every * dt0,
 where dt0 is the initial step size (``dt_init`` or its default, capped by
 ``_stable_dt`` at the initial state). Steps are cut to land on record times
 and on t_max. A step that leaves the positive cone is rejected and retried
-from the same start at half the size; after streaks of accepted steps the
-size grows again, up to the record spacing.
+from the same start at half the size, until dt falls below 1e-14 and the
+run aborts; after every _GROW_STREAK accepted steps the size grows by
+1 / _DT_SAFETY again, up to the record spacing.
 
 Potentials would drift by an exponentially growing constant along the flow
 (the +phi term integrates the spatially constant mode). Every recorded
@@ -72,6 +73,10 @@ _GAMMA = 1.0 - 1.0 / np.sqrt(2.0)
 # half-bandwidth of the velocity's Jacobian: the composed d_dx stencils reach
 # 4 columns off the diagonal inside and 7 through the 6-point edge closures
 _HALF_BAND = 7
+# step growth after rejections: 1 / _DT_SAFETY per _GROW_STREAK accepted
+# steps (ROADMAP item 3's error controller replaces both)
+_DT_SAFETY = 0.9
+_GROW_STREAK = 16
 
 
 @dataclass
@@ -84,39 +89,23 @@ class FlowConfig:
     record grid: records fall at t = k * ``record_every`` * dt0 (plus the
     initial and final states), the spacing at which a classical explicit
     method at the stability cap would record every ``record_every`` steps.
-    ``representation`` is "nodal" (default) or "polynomial" (least-squares
-    refit of degree ``fit_degree`` after every accepted step).
+    Steps run at the record spacing unless a rejection has shortened them.
     """
 
     manifold: ManifoldConfig
     initial: object
     t_max: float
     dt_init: float | None = None
-    dt_safety: float = 0.9
     record_every: int = 200
     reference: object | None = None
-    representation: str = "nodal"
-    fit_degree: int = 8
-    max_halvings: int = 60
-    grow_streak: int = 16
 
     def __post_init__(self):
         if not self.t_max > 0.0:
             raise ConfigError(f"t_max must be positive, got {self.t_max}")
         if self.dt_init is not None and not self.dt_init > 0.0:
             raise ConfigError(f"dt_init must be positive, got {self.dt_init}")
-        if not 0.0 < self.dt_safety <= 1.0:
-            raise ConfigError(f"dt_safety must lie in (0, 1], got {self.dt_safety}")
         if self.record_every < 1:
             raise ConfigError(f"record_every must be >= 1, got {self.record_every}")
-        if self.representation not in ("nodal", "polynomial"):
-            raise ConfigError(f"unknown representation {self.representation!r}")
-        if self.fit_degree < 0:
-            raise ConfigError(f"fit_degree must be >= 0, got {self.fit_degree}")
-        if self.max_halvings < 0:
-            raise ConfigError(f"max_halvings must be >= 0, got {self.max_halvings}")
-        if self.grow_streak < 1:
-            raise ConfigError(f"grow_streak must be >= 1, got {self.grow_streak}")
 
 
 @dataclass(frozen=True)
@@ -255,16 +244,15 @@ def _shift_profile(ref):
     return ref.state.log_density + ref.state.phi_total + ref.potential.h
 
 
-def step(ref, phi, dt, representation="nodal", fit_degree=8, trace=None, start=None):
+def step(ref, phi, dt, trace=None, start=None):
     """One ROS2 step from the relative potential ``phi``.
 
     ``start`` holds the profiles of the start state ``ref.state.phi_total +
     phi`` (the ``Profiles`` a previous step returned, or a ``MetricState``);
     f0 and the step matrix are read off it, and it is derived when omitted.
-    The result is refitted under the "polynomial" representation, then
-    re-zeroed at the midpoint. Returns ``(rel, profiles)``: the new relative
-    potential as a nodal array and the ``Profiles`` of its total potential.
-    With a ``trace``, the step adds its velocity evaluations and
+    The result is re-zeroed at the midpoint. Returns ``(rel, profiles)``: the
+    new relative potential as a nodal array and the ``Profiles`` of its total
+    potential. With a ``trace``, the step adds its velocity evaluations and
     factorization to it. Raises StepRejected when the start state, the stage
     or the result leaves the positive cone, or when the step matrix is
     exactly singular; the caller is expected to halve dt and retry.
@@ -310,9 +298,6 @@ def step(ref, phi, dt, representation="nodal", fit_degree=8, trace=None, start=N
     if trace is not None:
         trace.factorizations += 1
     rel = _ros2(velocity, partial(banded.solve, factored), total, f0, dt) - base
-    if representation == "polynomial":
-        coeffs = np.polynomial.polynomial.polyfit(g.x, rel, fit_degree)
-        rel = np.polynomial.polynomial.polyval(g.x, coeffs)
     # the constant mode grows like e^t and is pure gauge (every recorded
     # functional is shift invariant); left alone it reaches ~1e3 by t ~ 10
     # and its stencil roundoff pollutes the derivative-heavy record columns
@@ -362,7 +347,6 @@ def run(config):
     t = 0.0
     k = 1  # index of the next record time
     streak = 0
-    halvings = 0
     t_end = config.t_max * (1.0 - 1e-12)
     while t < t_end:
         t_next = k * spacing
@@ -372,28 +356,23 @@ def run(config):
         # land on the record time instead of leaving a roundoff-sized sliver
         dt_step = remaining if remaining <= dt * (1.0 + 1e-9) else dt
         try:
-            rel, start = step(ref, rel, dt_step, config.representation, config.fit_degree,
-                              trace=trace, start=start)
+            rel, start = step(ref, rel, dt_step, trace=trace, start=start)
         except StepRejected as exc:
             trace.rejections.append((t, dt_step, exc.min_ahat, exc.min_bhat))
-            halvings += 1
             dt = 0.5 * dt_step
             streak = 0
-            if halvings > config.max_halvings or dt < 1e-14:
-                raise FlowAborted(
-                    f"dt underflow at t = {t:.6g} after {halvings} consecutive halvings",
-                    trace=trace)
+            if dt < 1e-14:
+                raise FlowAborted(f"dt underflow at t = {t:.6g} (dt = {dt:.3g})", trace=trace)
             continue
-        halvings = 0
         landed = dt_step >= remaining
         if landed:  # the last step lands on t_max
             state = state_from_total(manifold, base + rel, _profiles=start)
         t = t_next if landed else t + dt_step
         trace.accepted += 1
         streak += 1
-        if streak >= config.grow_streak:
+        if streak >= _GROW_STREAK:
             streak = 0
-            dt = min(dt / config.dt_safety, spacing)
+            dt = min(dt / _DT_SAFETY, spacing)
         if landed and t < config.t_max:
             trace.records.append(_record(ref, state, t))
             k += 1

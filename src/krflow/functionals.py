@@ -276,21 +276,14 @@ def c_omega_estimate(ref, e1_coeffs=None):
     return _identity_terms(ref, _reference_pieces(ref), e1_coeffs)[3]
 
 
-def futaki(ref):
+def futaki_of_state(state):
     """Futaki invariant paired with the radial holomorphic generator.
 
     The generator acts on chart functions as d/ds, so the invariant is the
-    average of d_ds h against the reference volume. Independent of which
-    metric in the class plays the reference role.
-    """
-    return average(d_ds(ref.potential.h, ref.grid) * ref.state.density, ref.config)
-
-
-def futaki_of_state(state):
-    """Futaki invariant computed from an arbitrary positive state.
-
-    The Ricci potential's defining equation is d_ds h = B_ric - B, so the
-    invariant reads the state's Ricci profile without solving for h.
+    average of d_ds h against the state's volume, h its Ricci potential. The
+    defining equation d_ds h = B_ric - B reads it off the state's Ricci
+    profile without solving for h. Every metric in the class has the same
+    invariant.
     """
     return average((state.ricci.b - state.form.b) * state.density, state.config)
 

@@ -24,7 +24,7 @@ from .functionals import (
     e1_energy,
     evaluate,
     fubini_study_reference,
-    futaki,
+    futaki_of_state,
     identity_residual,
     j_energy,
     k_energy,
@@ -300,12 +300,12 @@ def run_suite(config):
         abs(average((np.exp(h) - 1.0) * bent_ref.state.density, manifold)))
     add("h_background_zero", np.abs(fs_ref.potential.h).max())
 
-    # Futaki invariant: vanishing and reference independence
-    ref_pool = [fs_ref, bent_ref]
-    for psi in sample_admissible(manifold, rng, 2, coeff_bound=config.coeff_bound,
-                                 degree=config.degree):
-        ref_pool.append(make_reference(make_state(manifold, psi)))
-    futaki_values = [futaki(r) for r in ref_pool]
+    # Futaki invariant: vanishing and independence of the metric in the class
+    states = [fs_ref.state, bent_state]
+    states += [make_state(manifold, psi)
+               for psi in sample_admissible(manifold, rng, 2, coeff_bound=config.coeff_bound,
+                                            degree=config.degree)]
+    futaki_values = [futaki_of_state(s) for s in states]
     add("futaki_vanishing", max(abs(v) for v in futaki_values))
     add("futaki_independence",
         max(abs(a - b) for a in futaki_values for b in futaki_values))

@@ -4,6 +4,7 @@ import pytest
 from krflow.calculus import build_grid
 from krflow.functionals import fubini_study_reference, make_reference
 from krflow.geometry import ManifoldConfig, RadialPotential, make_state
+from krflow.verification import DEFAULT_TOLERANCES
 
 BENT_COEFFS = (0.0, 0.2, 0.1)
 
@@ -61,6 +62,21 @@ def bent_ref2(config2):
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20240901)
+
+
+def flow_gate_failures(trace):
+    """The flow gates that ``trace`` misses, as "name: value > tolerance"
+    strings; empty when all pass. The tolerances are the suite's
+    (``flow_nu_monotone``, ``flow_residual_constant`` scaled by 1 + |C|,
+    ``flow_inequality`` as a floor on the margin)."""
+    gates = (
+        ("flow_nu_monotone", trace.nu_violation(), DEFAULT_TOLERANCES["flow_nu_monotone"]),
+        ("flow_residual_constant", trace.residual_deviation(),
+         DEFAULT_TOLERANCES["flow_residual_constant"] * (1.0 + abs(trace.c_omega))),
+        ("flow_inequality", -trace.inequality_margin(), DEFAULT_TOLERANCES["flow_inequality"]),
+    )
+    return [f"{name}: {value:.3e} > {tol:.3e}" for name, value, tol in gates
+            if not value <= tol]
 
 
 def pytest_terminal_summary(terminalreporter):

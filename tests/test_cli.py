@@ -1,8 +1,25 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from krflow.cli import _summary_lines, default_config_path, main
-from krflow.flow import TRACE_COLUMNS, FlowRecord, FlowTrace
+from krflow.cli import (
+    _flow_config,
+    _manifold,
+    _potential,
+    _suite_config,
+    _summary_lines,
+    default_config_path,
+    load_config,
+    main,
+)
+from krflow.flow import TRACE_COLUMNS, FlowConfig, FlowRecord, FlowTrace
+from krflow.geometry import RadialPotential
+from krflow.verification import SuiteConfig
+
+ROOT = Path(__file__).resolve().parents[1]
+SHIPPED_CONFIGS = sorted([*(ROOT / "src" / "krflow" / "configs").glob("*.ini"),
+                          *(ROOT / "perfbench" / "configs").glob("*.ini")])
 
 VERIFY_FAST = """
 [run]
@@ -87,6 +104,37 @@ def test_verify_mutation_config_fails(tmp_path, capsys):
     assert main(["verify", "--config", config]) == 1
     out = capsys.readouterr().out
     assert "der_e1,FAIL" in out
+
+
+@pytest.mark.parametrize("entry", ("dt_safety = 0.9", "representation = nodal",
+                                   "fit_degree = 8"))
+def test_flow_removed_keys_are_unknown(tmp_path, capsys, entry):
+    config = _write(tmp_path, "flow.ini", FLOW_SMALL + entry + "\n")
+    assert main(["flow", "--config", config, "--out", str(tmp_path / "trace.csv")]) == 2
+    assert "unknown key" in capsys.readouterr().err
+    assert not (tmp_path / "trace.csv").exists()
+
+
+@pytest.mark.parametrize("path", SHIPPED_CONFIGS,
+                         ids=lambda path: str(path.relative_to(ROOT)))
+def test_shipped_configs_load(path):
+    # every bundled and benchmark config passes the schema and builds the
+    # run it names (by its file name's prefix) without running it
+    parser = load_config(str(path))
+    manifold = _manifold(parser)
+    assert manifold.n == parser.getint("run", "n")
+    kind = path.name.split("_")[0]
+    if kind == "flow":
+        config = _flow_config(parser, manifold)
+        assert isinstance(config, FlowConfig)
+        assert config.t_max == parser.getfloat("flow", "t_max")
+    elif kind == "verify":
+        config = _suite_config(parser, manifold)
+        assert isinstance(config, SuiteConfig)
+        assert (config.n, config.grid_size) == (manifold.n, manifold.grid.size)
+    else:
+        assert kind == "eval"
+        assert isinstance(_potential(parser, manifold), RadialPotential)
 
 
 def test_flow_trace_format_and_exit(tmp_path):
