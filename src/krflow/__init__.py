@@ -38,7 +38,6 @@ from .geometry import (
     RadialPotential,
     average,
     background,
-    gradient_pairing,
     laplacian,
     make_state,
     sample_admissible,
@@ -66,10 +65,9 @@ __all__ = [
     "SuiteConfig", "SuiteReport", "VariationalCheck", "average", "background",
     "build_grid", "c_omega_estimate", "cocycle_check", "d_dx", "d_ds",
     "dirichlet", "e1_energy", "evaluate", "flow_velocity",
-    "fubini_study_reference", "futaki_of_state", "gradient_pairing",
-    "identity_residual", "integrate_ds", "j_energy", "k_energy",
-    "kernel_backend", "laplacian", "make_reference", "make_state",
-    "mixed_sum", "re_reference", "ricci_potential", "run", "run_suite",
-    "sample_admissible", "scalar_curvature", "step", "variational_check",
-    "wedge_density",
+    "fubini_study_reference", "futaki_of_state", "identity_residual",
+    "integrate_ds", "j_energy", "k_energy", "kernel_backend", "laplacian",
+    "make_reference", "make_state", "mixed_sum", "re_reference",
+    "ricci_potential", "run", "run_suite", "sample_admissible",
+    "scalar_curvature", "step", "variational_check", "wedge_density",
 ]

@@ -1,10 +1,12 @@
 """The hot kernels: the stencil derivative, the metric profiles and the flow
 velocity.
 
-``profiles`` is the one derivation of the metric profiles from a total
-potential; the state build, the flow velocity and the flow's Jacobian all
-read it. All functions work on contiguous float64 arrays over the full node
-set (N+1 values including both endpoints).
+``d_dx`` is the one derivative of the package (``calculus.d_dx`` is the same
+function). ``profiles`` is the one derivation of the metric profiles from a
+total potential; the state build, the flow velocity and the flow's Jacobian
+all read it. Every kernel takes the ``calculus.Grid`` it works on and reads
+its spacing and node profiles from it; values are float64 arrays over the
+full node set (N+1 values including both endpoints).
 """
 
 from typing import NamedTuple
@@ -12,8 +14,8 @@ from typing import NamedTuple
 import numpy as np
 
 
-def d_dx(values, dx):
-    """Fourth-order finite-difference d/dx on a uniform grid.
+def d_dx(values, grid):
+    """Fourth-order finite-difference d/dx on the uniform ``grid``.
 
     Five-point central stencil in the interior; the two-node boundary bands
     use six-point one-sided stencils (one order higher, so the boundary
@@ -23,6 +25,8 @@ def d_dx(values, dx):
     so the bits are unchanged, at a fraction of the per-operation overhead.
     """
     f = np.ascontiguousarray(values, dtype=np.float64)
+    if f.shape != (grid.size + 1,):
+        raise ValueError(f"profile shape {f.shape} does not match grid with {grid.size + 1} nodes")
     m = f.shape[0]
     if m < 6:
         raise ValueError("d_dx needs at least 6 nodes")
@@ -32,8 +36,8 @@ def d_dx(values, dx):
     mid = np.subtract(f[3:-1], f[1:-3], out=out[2:-2])
     mid *= 8.0
     mid += f[:-4] - f[4:]
-    mid *= 1.0 / (12.0 * dx)
-    c6 = 1.0 / (60.0 * dx)
+    mid *= 1.0 / (12.0 * grid.dx)
+    c6 = 1.0 / (60.0 * grid.dx)
     f0, f1, f2, f3, f4, f5 = f[:6].tolist()
     out[0] = (300.0 * (f1 - f0) - 300.0 * (f2 - f0) + 200.0 * (f3 - f0)
               - 75.0 * (f4 - f0) + 12.0 * (f5 - f0)) * c6
@@ -61,15 +65,15 @@ class Profiles(NamedTuple):
     log_density: np.ndarray | None  # log volume ratio; None off the cone
 
 
-def profiles(total, x, xm, omx, dx, n):
+def profiles(total, grid, n):
     """Profiles of the metric with the background-relative potential
     ``total``; ``log_density`` is None when the state leaves the positive
     cone (the minima still report how far)."""
     np1 = n + 1.0
-    u = d_dx(total, dx)
-    b = np1 * x + xm * u
-    r = d_dx(b, dx)
-    q = np1 + omx * u
+    u = d_dx(total, grid)
+    b = np1 * grid.x + grid.xm * u
+    r = d_dx(b, grid)
+    q = np1 + grid.omx * u
     ahat = r / np1
     bhat = q / np1
     min_a = float(ahat.min())
@@ -82,7 +86,7 @@ def profiles(total, x, xm, omx, dx, n):
     return Profiles(u, b, r, q, ahat, bhat, min_a, min_b, log_density)
 
 
-def velocity(phi, shift, x, xm, omx, dx, n):
+def velocity(phi, shift, grid, n):
     """Flow velocity log(density ratio) + phi - shift, as ``(velocity,
     profiles)``; the velocity is None off the positive cone, and the
     ``Profiles`` of ``phi`` say how far.
@@ -90,7 +94,7 @@ def velocity(phi, shift, x, xm, omx, dx, n):
     ``shift`` folds the reference metric's log density, potential offset and
     Ricci potential into one precomputed profile.
     """
-    p = profiles(phi, x, xm, omx, dx, n)
+    p = profiles(phi, grid, n)
     if p.log_density is None:
         return None, p
     out = p.log_density + phi  # a new array: p keeps its log density
@@ -98,26 +102,26 @@ def velocity(phi, shift, x, xm, omx, dx, n):
     return out, p
 
 
-def rk4_step(phi, dt, shift, x, xm, omx, dx, n):
+def rk4_step(phi, dt, shift, grid, n):
     """One classical Runge-Kutta step of dphi/dt = velocity(phi).
 
     Returns ``(phi_new, ok)``; ok is False when any stage leaves the
     positive cone, in which case phi_new is None. The flow itself steps with
     ROS2 (``flow.step``); this step is the tests' reference integrator.
     """
-    k1, _ = velocity(phi, shift, x, xm, omx, dx, n)
+    k1, _ = velocity(phi, shift, grid, n)
     if k1 is None:
         return None, False
-    k2, _ = velocity(phi + (0.5 * dt) * k1, shift, x, xm, omx, dx, n)
+    k2, _ = velocity(phi + (0.5 * dt) * k1, shift, grid, n)
     if k2 is None:
         return None, False
-    k3, _ = velocity(phi + (0.5 * dt) * k2, shift, x, xm, omx, dx, n)
+    k3, _ = velocity(phi + (0.5 * dt) * k2, shift, grid, n)
     if k3 is None:
         return None, False
-    k4, _ = velocity(phi + dt * k3, shift, x, xm, omx, dx, n)
+    k4, _ = velocity(phi + dt * k3, shift, grid, n)
     if k4 is None:
         return None, False
     phi_new = phi + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    if profiles(phi_new, x, xm, omx, dx, n).log_density is None:
+    if profiles(phi_new, grid, n).log_density is None:
         return None, False
     return phi_new, True

@@ -5,18 +5,30 @@ taken as x(1-x) d/dx and integrals "ds" are integrals of f(x)/(x(1-x)) dx.
 Working on a uniform grid in x keeps the domain compact (no truncation in s);
 the 0/0 forms at the endpoints are resolved by one-sided quartic extrapolation.
 
+This module owns the discretization. The grid supplies the derivative
+(``d_dx``, the ``_kernels`` stencil under a second name), the quadrature
+weights (``Grid.quad_weights``, composite Simpson), the endpoint quotient
+f/(x(1-x)) (``over_xm``), the antiderivative (``cumulative_dx``) and the
+stencil's operator bands (``derivative_bands``), which the flow assembles
+its Jacobian from.
+
 All operations are pure functions of their inputs; profiles are plain float64
 arrays with one value per node and are never mutated.
 """
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
-from . import _kernels
+from ._kernels import d_dx
 from .errors import ConfigError, DivergentIntegrand
 
 MIN_SIZE = 16
+# half-width of the bands of D = d_dx and K = D diag(x(1-x)) D: the composed
+# stencils reach 4 columns off the diagonal inside and 7 through the 6-point
+# edge closures
+HALF_BAND = 7
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,11 +73,6 @@ def _check_shape(values, grid):
     if f.shape != (grid.size + 1,):
         raise ValueError(f"profile shape {f.shape} does not match grid with {grid.size + 1} nodes")
     return f
-
-
-def d_dx(values, grid):
-    """Fourth-order derivative in x (one-sided stencils at the edges)."""
-    return _kernels.d_dx(_check_shape(values, grid), grid.dx)
 
 
 def d_ds(values, grid):
@@ -119,3 +126,33 @@ def cumulative_dx(values, grid):
     out[0] = 0.0
     np.cumsum(panels, out=out[1:])
     return out
+
+
+def derivative_bands(grid):
+    """The ``d_dx`` stencil D and K = D diag(x(1-x)) D on ``grid``, as
+    read-only bands ``band[i, k] = M[i, i + k - HALF_BAND]``.
+
+    Read off 2 * HALF_BAND + 1 colored probes through ``d_dx`` (columns that
+    far apart never share a row), so they are the stencil's own operators.
+    Cached by grid size: every Grid of one size has the same bands.
+    """
+    return _derivative_bands(grid.size)
+
+
+@lru_cache(maxsize=4)
+def _derivative_bands(size):
+    g = build_grid(size)
+    width = 2 * HALF_BAND + 1
+    rows = np.arange(size + 1)
+    d_band = np.zeros((size + 1, width))
+    k_band = np.zeros((size + 1, width))
+    for color in range(width):
+        probe = np.zeros(size + 1)
+        probe[color::width] = 1.0
+        cols = (color - rows + HALF_BAND) % width
+        d_probe = d_dx(probe, g)
+        d_band[rows, cols] = d_probe
+        k_band[rows, cols] = d_dx(g.xm * d_probe, g)
+    for band in (d_band, k_band):
+        band.setflags(write=False)
+    return d_band, k_band

@@ -26,7 +26,7 @@ _SCHEMA = {
     "potential": {"coeffs", "random", "seed", "rho", "degree"},
     "flow": {"t_max", "dt_init", "record_every"},
     "suite": {"seed", "samples", "fd_pairs", "fd_dt", "flow_grid", "flow_t_max",
-              "flow_record_every", "reference_coeffs", "rho", "degree"},
+              "flow_record_every"},
     "tolerances": None,  # any known tolerance name; validated separately
     "mutation": {"b1_offset", "h_norm_offset"},
     "output": {"report"},
@@ -91,9 +91,6 @@ def _suite_config(parser, manifold):
     if parser.has_section("tolerances"):
         tolerances = {k: float(v) for k, v in parser["tolerances"].items()}
     mutation = parser["mutation"] if parser.has_section("mutation") else {}
-    reference_coeffs = (0.0, 0.2, 0.1)
-    if sec.get("reference_coeffs"):
-        reference_coeffs = _parse_coeffs(sec["reference_coeffs"])
     return SuiteConfig(
         n=manifold.n,
         grid_size=manifold.grid.size,
@@ -101,9 +98,6 @@ def _suite_config(parser, manifold):
         samples=int(sec.get("samples", 20)),
         fd_pairs=int(sec.get("fd_pairs", 5)),
         fd_dt=float(sec.get("fd_dt", 1e-4)),
-        coeff_bound=float(sec.get("rho", 0.3)),
-        degree=int(sec.get("degree", 8)),
-        reference_coeffs=reference_coeffs,
         flow_grid=int(sec.get("flow_grid", 512)),
         flow_t_max=float(sec.get("flow_t_max", 0.5)),
         flow_record_every=int(sec.get("flow_record_every", 100)),

@@ -8,10 +8,10 @@ problem is stiff like a 1D diffusion equation: the spectral estimate in
 no such cap, so a step is as long as the record spacing. Each step uses two
 velocities, f0 at its start and one at its stage, and makes two linear
 solves with M = I - gamma dt J, where J is the velocity's exact Jacobian: a
-band of half-width 7 assembled from the stencil operators at the step's
-start state. M is LU-factored once per step by LAPACK's banded routines from
-numpy's own OpenBLAS (``banded``); an exactly singular M rejects the step
-like a cone exit.
+band assembled at the step's start state from the grid's operator bands
+(``calculus.derivative_bands``). M is LU-factored once per step by LAPACK's
+banded routines from numpy's own OpenBLAS (``banded``); an exactly singular
+M rejects the step like a cone exit.
 
 Each accepted state's metric profiles are derived once
 (``_kernels.profiles``). The step derives them for the array the run
@@ -37,12 +37,12 @@ traces.
 """
 
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import partial
 
 import numpy as np
 
 from . import _kernels, banded
-from .calculus import build_grid
+from .calculus import HALF_BAND, derivative_bands
 from .errors import ConfigError, FlowAborted, StepRejected
 from .functionals import (
     _identity_terms,
@@ -70,9 +70,6 @@ TRACE_COLUMNS = ("t", "nu", "e1", "dirichlet", "residual",
 # 6.9e-3 x^3, nu's decrease to t = 0.055 in steps of 0.01 is off by 1.9e-3 of
 # itself with the larger root and by 6.7e-5 with this one
 _GAMMA = 1.0 - 1.0 / np.sqrt(2.0)
-# half-bandwidth of the velocity's Jacobian: the composed d_dx stencils reach
-# 4 columns off the diagonal inside and 7 through the 6-point edge closures
-_HALF_BAND = 7
 # step growth after rejections: 1 / _DT_SAFETY per _GROW_STREAK accepted
 # steps (ROADMAP item 3's error controller replaces both)
 _DT_SAFETY = 0.9
@@ -188,47 +185,22 @@ def _stable_dt(config, r, q):
     return 2.5 / lam
 
 
-@lru_cache(maxsize=4)
-def _stencil_operators(size):
-    """The ``d_dx`` stencil D and K = D diag(x(1-x)) D on a grid of ``size``
-    panels, as bands ``band[i, k] = M[i, i + k - _HALF_BAND]``.
-
-    Read off 2 * _HALF_BAND + 1 colored probes through the kernel (columns
-    that far apart never share a row), so they are the kernel's own
-    operators. Cached by grid size: every Grid of one size has the same.
-    """
-    g = build_grid(size)
-    width = 2 * _HALF_BAND + 1
-    rows = np.arange(size + 1)
-    d_band = np.zeros((size + 1, width))
-    k_band = np.zeros((size + 1, width))
-    for color in range(width):
-        probe = np.zeros(size + 1)
-        probe[color::width] = 1.0
-        cols = (color - rows + _HALF_BAND) % width
-        d_probe = _kernels.d_dx(probe, g.dx)
-        d_band[rows, cols] = d_probe
-        k_band[rows, cols] = _kernels.d_dx(g.xm * d_probe, g.dx)
-    for band in (d_band, k_band):
-        band.setflags(write=False)
-    return d_band, k_band
-
-
 def _jacobian_band(config, p):
     """Exact Jacobian of the velocity at the profiles ``p`` (a ``Profiles``
     or a ``MetricState``; only ``r`` and ``q`` are read):
 
         J = diag(1/r) K + diag((n-1)(1-x)/q) D + I,
 
-    r = (n+1) Ahat and q = (n+1) Bhat, as a band of half-width _HALF_BAND.
+    r = (n+1) Ahat and q = (n+1) Bhat, with D and K the bands of
+    ``calculus.derivative_bands``; a band of half-width HALF_BAND.
     """
     g = config.grid
     n = config.n
-    d_band, k_band = _stencil_operators(g.size)
+    d_band, k_band = derivative_bands(g)
     jac = k_band / p.r[:, None]
     if n > 1:
         jac += d_band * ((n - 1) * g.omx / p.q)[:, None]
-    jac[:, _HALF_BAND] += 1.0
+    jac[:, HALF_BAND] += 1.0
     return jac
 
 
@@ -269,7 +241,7 @@ def step(ref, phi, dt, trace=None, start=None):
                             min_ahat=min_a, min_bhat=min_b)
 
     def profiles(values):
-        p = _kernels.profiles(values, g.x, g.xm, g.omx, g.dx, n)
+        p = _kernels.profiles(values, g, n)
         if p.log_density is None:
             raise rejected(p.min_ahat, p.min_bhat)
         return p
@@ -277,7 +249,7 @@ def step(ref, phi, dt, trace=None, start=None):
     def velocity(values):
         if trace is not None:
             trace.velocity_evals += 1
-        out, p = _kernels.velocity(values, shift, g.x, g.xm, g.omx, g.dx, n)
+        out, p = _kernels.velocity(values, shift, g, n)
         if out is None:
             raise rejected(p.min_ahat, p.min_bhat)
         return out
@@ -290,7 +262,7 @@ def step(ref, phi, dt, trace=None, start=None):
     f0 -= shift
     system = _jacobian_band(ref.config, start)
     system *= -_GAMMA * dt
-    system[:, _HALF_BAND] += 1.0
+    system[:, HALF_BAND] += 1.0
     try:
         factored = banded.factor(system)
     except np.linalg.LinAlgError as exc:

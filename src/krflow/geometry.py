@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .calculus import Grid, d_dx, d_ds, integrate_ds
+from .calculus import Grid, d_dx, integrate_ds
 from .errors import ConfigError, NotInPotentialSpace
 
 DEFAULT_DEGREE = 8
@@ -180,7 +180,7 @@ def state_from_total(config, phi_total, _profiles=None):
     phi_total = _potential_values(phi_total, g)
     p = _profiles
     if p is None:
-        p = _kernels.profiles(phi_total, g.x, g.xm, g.omx, g.dx, n)
+        p = _kernels.profiles(phi_total, g, n)
     if p.log_density is None:
         raise NotInPotentialSpace(
             f"metric not positive: min Ahat = {p.min_ahat:.6g}, min Bhat = {p.min_bhat:.6g}")
@@ -283,12 +283,6 @@ def laplacian(state, values):
     if n > 1:
         out += 2.0 * (n - 1) * g.omx * u / state.q
     return out
-
-
-def gradient_pairing(f, fbar, grid):
-    """Radial form of i df /\\ dbar(g): A = d_ds f * d_ds g, B = 0."""
-    a = d_ds(f, grid) * d_ds(fbar, grid)
-    return RadialForm(a=a, b=np.zeros_like(a))
 
 
 def average(density, config):

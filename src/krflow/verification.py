@@ -33,6 +33,8 @@ from .functionals import (
     re_reference,
 )
 from .geometry import (
+    DEFAULT_COEFF_BOUND,
+    DEFAULT_DEGREE,
     ManifoldConfig,
     RadialPotential,
     average,
@@ -45,6 +47,8 @@ from .geometry import (
 )
 
 IDENTITIES = ("DER_JFUNC", "DER_KENERG", "DER_J1FUN", "DER_E1")
+# potential of the suite's perturbed ("bent") reference metric
+BENT_REFERENCE = (0.0, 0.2, 0.1)
 
 
 @dataclass(frozen=True)
@@ -212,9 +216,6 @@ class SuiteConfig:
     samples: int = 20
     fd_pairs: int = 5
     fd_dt: float = 1e-4
-    coeff_bound: float = 0.3
-    degree: int = 8
-    reference_coeffs: tuple = (0.0, 0.2, 0.1)
     flow_grid: int = 512
     flow_t_max: float = 0.5
     flow_record_every: int = 100
@@ -239,12 +240,11 @@ def run_suite(config):
     manifold = ManifoldConfig(n=config.n, grid=grid)
     n = config.n
     fs_ref = fubini_study_reference(manifold)
-    bent_state = make_state(manifold, RadialPotential(config.reference_coeffs))
+    bent_state = make_state(manifold, RadialPotential(BENT_REFERENCE))
     bent_ref = make_reference(bent_state, normalization_offset=config.h_norm_offset)
     e1_coeffs = e1_coefficients(n)
     e1_coeffs[1] += config.b1_offset
-    potentials = sample_admissible(manifold, rng, config.samples,
-                                   coeff_bound=config.coeff_bound, degree=config.degree)
+    potentials = sample_admissible(manifold, rng, config.samples)
 
     # energies at the sampled potentials (background reference); their
     # residuals feed the background residual-constancy check below
@@ -263,10 +263,9 @@ def run_suite(config):
     # derivative identities against central differences
     pairs = []
     while len(pairs) < config.fd_pairs:
-        base = sample_admissible(manifold, rng, 1, coeff_bound=config.coeff_bound,
-                                 degree=config.degree)[0]
+        base = sample_admissible(manifold, rng, 1)[0]
         direction = RadialPotential(
-            rng.uniform(-config.coeff_bound, config.coeff_bound, config.degree + 1))
+            rng.uniform(-DEFAULT_COEFF_BOUND, DEFAULT_COEFF_BOUND, DEFAULT_DEGREE + 1))
         pairs.append((base, direction))
     for identity in IDENTITIES:
         coeffs = e1_coeffs if identity == "DER_E1" else None
@@ -302,9 +301,7 @@ def run_suite(config):
 
     # Futaki invariant: vanishing and independence of the metric in the class
     states = [fs_ref.state, bent_state]
-    states += [make_state(manifold, psi)
-               for psi in sample_admissible(manifold, rng, 2, coeff_bound=config.coeff_bound,
-                                            degree=config.degree)]
+    states += [make_state(manifold, psi) for psi in sample_admissible(manifold, rng, 2)]
     futaki_values = [futaki_of_state(s) for s in states]
     add("futaki_vanishing", max(abs(v) for v in futaki_values))
     add("futaki_independence",
@@ -323,9 +320,7 @@ def run_suite(config):
                       ("residual_constancy_perturbed", bent_ref)):
         residuals = [c_omega_estimate(ref, e1_coeffs)]
         if ref is bent_ref:
-            usable = sample_admissible(manifold, rng, config.samples,
-                                       coeff_bound=config.coeff_bound,
-                                       degree=config.degree, base=ref.state)
+            usable = sample_admissible(manifold, rng, config.samples, base=ref.state)
             residuals += [identity_residual(ref, phi, e1_coeffs=e1_coeffs) for phi in usable]
         else:
             residuals += [r.residual for r in reports]

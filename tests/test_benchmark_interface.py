@@ -2,6 +2,7 @@ import importlib.util
 from pathlib import Path
 
 import krflow
+from krflow import _kernels, calculus, geometry
 
 WORKER = Path(__file__).resolve().parents[1] / "perfbench" / "worker.py"
 
@@ -18,3 +19,6 @@ def test_benchmark_trace_targets_resolve():
         assert callable(func), name
         assert on_result is None or callable(on_result), name
     assert krflow.kernel_backend == "python"
+    # the tracer wraps every module slot that holds a traced function, so one
+    # derivative function under every name counts each derivative once
+    assert calculus.d_dx is geometry.d_dx is _kernels.d_dx is krflow.d_dx

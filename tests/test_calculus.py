@@ -1,8 +1,19 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from krflow import _kernels
-from krflow.calculus import build_grid, cumulative_dx, d_dx, d_ds, integrate_ds, over_xm
+from krflow.calculus import (
+    HALF_BAND,
+    build_grid,
+    cumulative_dx,
+    d_dx,
+    d_ds,
+    derivative_bands,
+    integrate_ds,
+    over_xm,
+)
 from krflow.errors import ConfigError, DivergentIntegrand
 from krflow.geometry import ManifoldConfig, background, wedge_density
 
@@ -60,7 +71,9 @@ def test_d_dx_bits_match_the_plain_stencil(rng):
                    - 20.0 * (f[-5] - f[-2]) + 3.0 * (f[-6] - f[-2])) * c6
         ref[-1] = (-300.0 * (f[-2] - f[-1]) + 300.0 * (f[-3] - f[-1]) - 200.0 * (f[-4] - f[-1])
                    + 75.0 * (f[-5] - f[-1]) - 12.0 * (f[-6] - f[-1])) * c6
-        assert _kernels.d_dx(f, dx).tobytes() == ref.tobytes()
+        # sizes 6 and 7 are below any Grid: a stand-in carries size and dx
+        grid = SimpleNamespace(size=size - 1, dx=dx)
+        assert _kernels.d_dx(f, grid).tobytes() == ref.tobytes()
 
 
 def test_d_dx_strided_and_int_inputs_match_contiguous_float(grid512, rng):
@@ -75,9 +88,34 @@ def test_d_dx_strided_and_int_inputs_match_contiguous_float(grid512, rng):
 
 
 def test_d_dx_needs_six_nodes():
-    with pytest.raises(ValueError):
-        _kernels.d_dx(np.zeros(5), 0.25)
-    assert _kernels.d_dx(np.arange(6.0), 1.0).tolist() == [1.0] * 6
+    # five values on a five-node stand-in grid pass the shape check
+    with pytest.raises(ValueError, match="at least 6 nodes"):
+        _kernels.d_dx(np.zeros(5), SimpleNamespace(size=4, dx=0.25))
+    assert _kernels.d_dx(np.arange(6.0), SimpleNamespace(size=5, dx=1.0)).tolist() == [1.0] * 6
+
+
+@pytest.mark.parametrize("size", (16, 128, 1024))
+def test_derivative_bands_match_the_stencil(size, rng):
+    # the bands read off colored probes are D = d_dx and K = D diag(x(1-x)) D;
+    # at N = 16 the 17 nodes share the 2 * HALF_BAND + 1 = 15 probe colors
+    g = build_grid(size)
+    d_band, k_band = derivative_bands(g)
+    f = rng.standard_normal(size + 1)
+    cols = np.arange(size + 1)[:, None] + np.arange(-HALF_BAND, HALF_BAND + 1)
+    inside = (cols >= 0) & (cols <= size)
+    near = np.where(inside, f[np.clip(cols, 0, size)], 0.0)
+    u = d_dx(f, g)
+    for band, expected in ((d_band, u), (k_band, d_dx(g.xm * u, g))):
+        assert band.shape == (size + 1, 2 * HALF_BAND + 1)
+        applied = (band * near).sum(axis=1)
+        scale = np.abs(expected).max()
+        assert np.abs(applied - expected).max() <= 1e-12 * (1.0 + scale)
+        # the match leaves no operator entry beyond HALF_BAND; the band's
+        # slots past the matrix edge are zero; the cached bands are read-only
+        assert not band[~inside].any()
+        assert not band.flags.writeable
+        with pytest.raises(ValueError):
+            band[size // 2, HALF_BAND] = 0.0
 
 
 def test_d_dx_quadratic_example(grid256):

@@ -107,7 +107,9 @@ def test_verify_mutation_config_fails(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("entry", ("dt_safety = 0.9", "representation = nodal",
-                                   "fit_degree = 8"))
+                                   "fit_degree = 8", "[suite]\nrho = 0.3",
+                                   "[suite]\ndegree = 8",
+                                   "[suite]\nreference_coeffs = 0.0, 0.2, 0.1"))
 def test_flow_removed_keys_are_unknown(tmp_path, capsys, entry):
     config = _write(tmp_path, "flow.ini", FLOW_SMALL + entry + "\n")
     assert main(["flow", "--config", config, "--out", str(tmp_path / "trace.csv")]) == 2

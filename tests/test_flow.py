@@ -9,13 +9,12 @@ import sys
 import krflow
 from conftest import flow_gate_failures
 from krflow import _kernels, banded, flow
-from krflow.calculus import build_grid
+from krflow.calculus import HALF_BAND, build_grid
 from krflow.errors import ConfigError, FlowAborted, KrflowError, StepRejected
 from krflow.flow import (
     FlowConfig,
     TRACE_COLUMNS,
     _GAMMA,
-    _HALF_BAND,
     _jacobian_band,
     _record,
     _ros2,
@@ -163,7 +162,7 @@ def test_step_rejects_large_dt(small_config, monkeypatch):
     # the explicit RK4 reference integrator leaves the cone at dt = 1e3
     g = small_config.grid
     total = ref.state.phi_total + TILT.values(g)
-    out, ok = _kernels.rk4_step(total, 1e3, _shift_profile(ref), g.x, g.xm, g.omx, g.dx, 1)
+    out, ok = _kernels.rk4_step(total, 1e3, _shift_profile(ref), g, 1)
     assert out is None and not ok
     _cone_exit(monkeypatch, 0.0, 1.0)
     with pytest.raises(StepRejected) as info:
@@ -216,8 +215,7 @@ def test_step_hands_off_its_profiles(n, monkeypatch):
     assert all(id(b) in handed for b in builds[1:])
     for call in accepted:
         rel, returned = call["out"]
-        fresh = _kernels.profiles(call["ref"].state.phi_total + rel, g.x, g.xm, g.omx,
-                                  g.dx, n)
+        fresh = _kernels.profiles(call["ref"].state.phi_total + rel, g, n)
         for name, value in returned._asdict().items():
             assert np.array_equal(value, getattr(fresh, name)), name
 
@@ -386,8 +384,7 @@ def _fd_jacobian(ref, phi, h=1e-6):
         for sign in (1.0, -1.0):
             probe = total.copy()
             probe[i] += sign * h
-            cols.append(_kernels.velocity(probe, shift, g.x, g.xm, g.omx, g.dx,
-                                          ref.config.n)[0])
+            cols.append(_kernels.velocity(probe, shift, g, ref.config.n)[0])
         jac[:, i] = (cols[0] - cols[1]) / (2.0 * h)
     return jac, total
 
@@ -396,7 +393,7 @@ def _dense(band):
     m = band.shape[0]
     out = np.zeros((m, m))
     for k in range(band.shape[1]):
-        offset = k - _HALF_BAND
+        offset = k - HALF_BAND
         rows = np.arange(max(0, -offset), min(m, m - offset))
         out[rows, rows + offset] = band[rows, k]
     return out
@@ -411,7 +408,7 @@ def test_jacobian_matches_fd(n):
     # columns)
     config = ManifoldConfig(n=n, grid=build_grid(128))
     ref = fubini_study_reference(config)
-    outside = np.abs(np.subtract.outer(np.arange(129), np.arange(129))) > _HALF_BAND
+    outside = np.abs(np.subtract.outer(np.arange(129), np.arange(129))) > HALF_BAND
     for phi in (TILT, RadialPotential((0.0, 0.2, 0.1))):
         gaps = []
         for h in (1e-6, 1e-7):
@@ -422,7 +419,7 @@ def test_jacobian_matches_fd(n):
             assert np.abs(fd[outside]).max() <= 1e-12 * scale
         assert gaps[1] <= 1e-7
         assert gaps[0] / gaps[1] > 50.0
-        assert exact[0, _HALF_BAND] != 0.0 and exact[-1, -1 - _HALF_BAND] != 0.0
+        assert exact[0, HALF_BAND] != 0.0 and exact[-1, -1 - HALF_BAND] != 0.0
 
 
 @pytest.mark.parametrize("size", (16, 128, 134, 256, 512))
@@ -438,7 +435,7 @@ def test_block_solve_matches_dense_solve(size):
         jac = _jacobian_band(config, state_from_total(config, total))
         for c in np.geomspace(1e-4, 10.0, 7):
             system = -c * jac
-            system[:, _HALF_BAND] += 1.0
+            system[:, HALF_BAND] += 1.0
             matrix = _dense(system)
             rhs = rng.standard_normal(size + 1)
             x = banded.solve(banded.factor(system), rhs)
@@ -456,11 +453,11 @@ def test_banded_solve_pivots():
     # side
     rng = np.random.default_rng(7)
     for size in (17, 257):
-        random = rng.standard_normal((size, 2 * _HALF_BAND + 1))
-        random[0, _HALF_BAND] = 0.0
+        random = rng.standard_normal((size, 2 * HALF_BAND + 1))
+        random[0, HALF_BAND] = 0.0
         swaps = np.zeros_like(random)
-        swaps[0:size - 1:2, _HALF_BAND + 1] = swaps[1::2, _HALF_BAND - 1] = 1.0
-        swaps[-1, _HALF_BAND] = size % 2
+        swaps[0:size - 1:2, HALF_BAND + 1] = swaps[1::2, HALF_BAND - 1] = 1.0
+        swaps[-1, HALF_BAND] = size % 2
         for band in (random, swaps):
             rhs = rng.standard_normal(size)
             factored = banded.factor(band)
@@ -480,8 +477,8 @@ def _singular(band):
 def test_singular_step_matrix_rejects_step(small_config, monkeypatch):
     # an exactly singular band raises LinAlgError; in a step it is a
     # rejection without minima, and the run halves dt and goes on
-    band = np.zeros((33, 2 * _HALF_BAND + 1))
-    band[:, _HALF_BAND] = 1.0
+    band = np.zeros((33, 2 * HALF_BAND + 1))
+    band[:, HALF_BAND] = 1.0
     with pytest.raises(np.linalg.LinAlgError):
         banded.factor(_singular(band))
     sizes = []
@@ -575,7 +572,7 @@ def test_ros2_matches_rk4(n):
         cap = _stable_dt(config, state.r, state.q)
         while t < rec.t:
             dt = rec.t - t if rec.t - t <= cap * (1.0 + 1e-9) else cap
-            total, ok = _kernels.rk4_step(total, dt, shift, g.x, g.xm, g.omx, g.dx, n)
+            total, ok = _kernels.rk4_step(total, dt, shift, g, n)
             assert ok
             t = rec.t if dt == rec.t - t else t + dt
         expected = _record(ref, state_from_total(config, total), rec.t)

@@ -9,7 +9,6 @@ from krflow.geometry import (
     RadialPotential,
     average,
     background,
-    gradient_pairing,
     laplacian,
     make_state,
     sample_admissible,
@@ -62,7 +61,7 @@ def test_make_state_rejects_steep_potential(config1):
     assert "not positive" in str(err.value)
     # the profiles behind the state build flag the same state
     g = config1.grid
-    p = _kernels.profiles(-10.0 * g.x, g.x, g.xm, g.omx, g.dx, 1)
+    p = _kernels.profiles(-10.0 * g.x, g, 1)
     assert p.log_density is None
     assert min(p.min_ahat, p.min_bhat) <= 0.0
 
@@ -241,16 +240,6 @@ def test_laplacian_sign_and_gradient_identity(config2, rng):
     rhs = -2.0 * n * average(grad, config2)
     assert lhs == pytest.approx(rhs, abs=1e-6)
     assert lhs <= 1e-8
-
-
-def test_gradient_pairing(config1):
-    g = config1.grid
-    zero = gradient_pairing(np.full(g.size + 1, 1.0), np.full(g.size + 1, 2.0), g)
-    assert np.abs(zero.a).max() == 0.0
-    sym = gradient_pairing(g.x.copy(), g.x.copy(), g)
-    assert sym.a.min() >= 0.0
-    assert sym.a[g.size // 2] == pytest.approx(0.0625, abs=1e-13)
-    assert np.abs(sym.b).max() == 0.0
 
 
 def test_average_normalization(config2, rng):
