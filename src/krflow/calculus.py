@@ -3,7 +3,7 @@
 The underlying chart variable is s = log(x/(1-x)), so derivatives "in s" are
 taken as x(1-x) d/dx and integrals "ds" are integrals of f(x)/(x(1-x)) dx.
 Working on a uniform grid in x keeps the domain compact (no truncation in s);
-the 0/0 forms at the endpoints are resolved by one-sided quartic extrapolation.
+the 0/0 forms at the endpoints are resolved by one-sided quintic extrapolation.
 
 This module owns the discretization. The grid supplies the derivative
 (``d_dx``, the ``_kernels`` stencil under a second name), the quadrature
@@ -29,6 +29,7 @@ MIN_SIZE = 16
 # stencils reach 4 columns off the diagonal inside and 7 through the 6-point
 # edge closures
 HALF_BAND = 7
+ENDPOINT_BOUND = 1e8  # ``integrate_ds``'s bound on the extrapolated endpoint integrand
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,31 +85,31 @@ def over_xm(values, grid):
     """f/(x(1-x)) at every node, for profiles f that vanish at x = 0, 1.
 
     The endpoint entries are 0/0 with finite limits; each is the one-sided
-    quartic extrapolation of the five nearest interior quotients, on Python
+    quintic extrapolation of the six nearest interior quotients, on Python
     floats (the same operations as on numpy scalars, so the same bits).
     """
     f = _check_shape(values, grid)
     g = np.empty_like(f)
     np.divide(f[1:-1], grid.xm[1:-1], out=g[1:-1])
-    g1, g2, g3, g4, g5 = g[1:6].tolist()
-    g[0] = 5.0 * g1 - 10.0 * g2 + 10.0 * g3 - 5.0 * g4 + g5
-    h5, h4, h3, h2, h1 = g[-6:-1].tolist()
-    g[-1] = 5.0 * h1 - 10.0 * h2 + 10.0 * h3 - 5.0 * h4 + h5
+    g1, g2, g3, g4, g5, g6 = g[1:7].tolist()
+    g[0] = 6.0 * g1 - 15.0 * g2 + 20.0 * g3 - 15.0 * g4 + 6.0 * g5 - g6
+    h6, h5, h4, h3, h2, h1 = g[-7:-1].tolist()
+    g[-1] = 6.0 * h1 - 15.0 * h2 + 20.0 * h3 - 15.0 * h4 + 6.0 * h5 - h6
     return g
 
 
-def integrate_ds(values, grid, endpoint_bound=1e8):
+def integrate_ds(values, grid):
     """Integral of f ds over the whole chart, i.e. of f(x)/(x(1-x)) dx.
 
     The integrand (``over_xm``) is fed to the composite rule. Raises
     DivergentIntegrand unless both extrapolated endpoint values are finite
-    and within ``endpoint_bound`` (else the integral almost surely diverges).
+    and within ``ENDPOINT_BOUND`` (else the integral almost surely diverges).
     """
     g = over_xm(values, grid)
     lo, hi = float(g[0]), float(g[-1])
-    if not (abs(lo) <= endpoint_bound and abs(hi) <= endpoint_bound):
+    if not (abs(lo) <= ENDPOINT_BOUND and abs(hi) <= ENDPOINT_BOUND):
         raise DivergentIntegrand(
-            f"extrapolated endpoint values ({lo:.3e}, {hi:.3e}) exceed bound {endpoint_bound:.1e}")
+            f"extrapolated endpoint values ({lo:.3e}, {hi:.3e}) exceed bound {ENDPOINT_BOUND:.1e}")
     return float(grid.quad_weights @ g)
 
 

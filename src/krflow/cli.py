@@ -8,6 +8,7 @@ configs and seeds.
 
 import argparse
 import configparser
+import dataclasses
 import sys
 from importlib import resources
 
@@ -17,7 +18,8 @@ from .calculus import build_grid
 from .errors import FlowAborted, KrflowError, NotInPotentialSpace, ConfigError
 from .flow import FlowConfig, TRACE_COLUMNS, run
 from .functionals import evaluate, fubini_study_reference, futaki_of_state, make_reference
-from .geometry import ManifoldConfig, RadialPotential, make_state, sample_admissible
+from .geometry import (DEFAULT_COEFF_BOUND, DEFAULT_DEGREE, ManifoldConfig, RadialPotential,
+                       make_state, sample_admissible)
 from .verification import DEFAULT_TOLERANCES, SuiteConfig, run_suite
 
 _SCHEMA = {
@@ -79,43 +81,37 @@ def _potential(parser, manifold):
         rng = np.random.default_rng(int(sec.get("seed", 0)))
         return sample_admissible(
             manifold, rng, 1,
-            coeff_bound=float(sec.get("rho", 0.3)),
-            degree=int(sec.get("degree", 8)))[0]
+            coeff_bound=float(sec.get("rho", DEFAULT_COEFF_BOUND)),
+            degree=int(sec.get("degree", DEFAULT_DEGREE)))[0]
     coeffs = _parse_coeffs(sec.get("coeffs", "0"))
     return RadialPotential(coeffs)
 
 
 def _suite_config(parser, manifold):
-    sec = dict(parser["suite"]) if parser.has_section("suite") else {}
+    """The [suite] and [mutation] keys, each converted with its SuiteConfig
+    field type; absent keys take the field default."""
+    types = {f.name: f.type for f in dataclasses.fields(SuiteConfig)}
+    values = {}
+    for section in ("suite", "mutation"):
+        if parser.has_section(section):
+            values.update((k, types[k](v)) for k, v in parser[section].items())
     tolerances = {}
     if parser.has_section("tolerances"):
         tolerances = {k: float(v) for k, v in parser["tolerances"].items()}
-    mutation = parser["mutation"] if parser.has_section("mutation") else {}
-    return SuiteConfig(
-        n=manifold.n,
-        grid_size=manifold.grid.size,
-        seed=int(sec.get("seed", 20240901)),
-        samples=int(sec.get("samples", 20)),
-        fd_pairs=int(sec.get("fd_pairs", 5)),
-        fd_dt=float(sec.get("fd_dt", 1e-4)),
-        flow_grid=int(sec.get("flow_grid", 512)),
-        flow_t_max=float(sec.get("flow_t_max", 0.5)),
-        flow_record_every=int(sec.get("flow_record_every", 100)),
-        tolerances=tolerances,
-        b1_offset=float(mutation.get("b1_offset", 0.0)),
-        h_norm_offset=float(mutation.get("h_norm_offset", 0.0)),
-    )
+    return SuiteConfig(n=manifold.n, grid_size=manifold.grid.size, tolerances=tolerances,
+                       **values)
 
 
 def _flow_config(parser, manifold):
     sec = parser["flow"] if parser.has_section("flow") else {}
+    optional = {"record_every": int(sec["record_every"])} if "record_every" in sec else {}
     return FlowConfig(
         manifold=manifold,
         initial=_potential(parser, manifold),
         t_max=float(sec.get("t_max", 1.0)),
         dt_init=float(sec["dt_init"]) if sec.get("dt_init") else None,
-        record_every=int(sec.get("record_every", 200)),
         reference=_reference_potential(parser),
+        **optional,
     )
 
 

@@ -38,6 +38,9 @@ from .geometry import (
 )
 
 
+ENDPOINT_TOL = 1e-7  # ``ricci_potential``'s endpoint test on B_ric - B, per 1 + max B
+
+
 def k_energy_coefficients(n):
     """Mixed-term weights of the K-energy: (n, -1, ..., -1)."""
     coeffs = np.full(n + 1, -1.0)
@@ -98,7 +101,7 @@ class FunctionalReport:
     c1: float
 
 
-def ricci_potential(state, normalization_offset=0.0, endpoint_tol=1e-7):
+def ricci_potential(state, normalization_offset=0.0):
     """Ricci potential of ``state``'s metric.
 
     dh/dx = (B_ric - B)/(x(1-x)) is integrated from the midpoint outward;
@@ -109,7 +112,7 @@ def ricci_potential(state, normalization_offset=0.0, endpoint_tol=1e-7):
     g = state.grid
     diff = state.ricci.b - state.form.b
     scale = 1.0 + float(np.abs(state.form.b).max())
-    if abs(diff[0]) > endpoint_tol * scale or abs(diff[-1]) > endpoint_tol * scale:
+    if abs(diff[0]) > ENDPOINT_TOL * scale or abs(diff[-1]) > ENDPOINT_TOL * scale:
         raise NotInPotentialSpace(
             f"Ricci-minus-metric profile does not vanish at the endpoints "
             f"({diff[0]:.3e}, {diff[-1]:.3e}); state is not admissible")
@@ -126,7 +129,7 @@ def make_reference(state, normalization_offset=0.0):
     n = state.config.n
     potential = ricci_potential(state, normalization_offset=normalization_offset)
     ric_plus = RadialForm(a=state.ricci.a + state.form.a, b=state.ricci.b + state.form.b)
-    mixed = wedge_density([(ric_plus, 1), (state.form, n - 1)], n)
+    mixed = wedge_density(ric_plus, 1, state.form, n)
     c0 = average(potential.h * state.density, state.config)
     c1 = average(potential.h * mixed, state.config)
     return Reference(state=state, potential=potential, c0=c0, c1=c1)
@@ -150,7 +153,7 @@ def _relative_state(ref, phi):
 def _mixed_averages(ref, state, values):
     """The n + 1 averages of values * (ref^k wedge state^(n-k)), k = 0..n."""
     n = ref.config.n
-    return [average(values * wedge_density([(ref.form, k), (state.form, n - k)], n),
+    return [average(values * wedge_density(ref.form, k, state.form, n),
                     ref.config) for k in range(n + 1)]
 
 
@@ -225,7 +228,7 @@ def _e1_energy_from(ref, pieces, coeffs=None):
         coeffs = e1_coefficients(n)
     state = pieces.state
     ric_plus = RadialForm(a=state.ricci.a + ref.form.a, b=state.ricci.b + ref.form.b)
-    density = wedge_density([(ric_plus, 1), (state.form, n - 1)], n)
+    density = wedge_density(ric_plus, 1, state.form, n)
     entropy = average((pieces.log_rel - ref.potential.h) * density, ref.config)
     return entropy + _weighted(coeffs, pieces.mixed) + ref.c1
 

@@ -44,6 +44,7 @@ from .errors import ConfigError, NotInPotentialSpace
 
 DEFAULT_DEGREE = 8
 DEFAULT_COEFF_BOUND = 0.3
+MAX_SAMPLE_TRIES = 5000  # candidates ``sample_admissible`` draws before giving up
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,7 +135,7 @@ class MetricState:
     its x-derivative, used for endpoint-regular curvature ratios). ``q`` and
     ``r`` are the endpoint-regular factors described in the module docstring;
     ``log_density`` is log of the volume ratio against the background and
-    ``density`` the reduced volume density ``wedge_density([(form, n)], n)``.
+    ``density`` the reduced volume density ``wedge_density(form, n, form, n)``.
     Immutable after construction and safe to share across threads.
     """
 
@@ -200,7 +201,7 @@ def state_from_total(config, phi_total, _profiles=None):
         q=p.q,
         r=p.r,
         log_density=p.log_density,
-        density=wedge_density([(form, n)], n),
+        density=wedge_density(form, n, form, n),
         ricci=RadialForm(a=g.xm * db_ric, b=b_ric),
         ricci_db=db_ric,
     )
@@ -213,7 +214,7 @@ def background(config):
 
 def make_state(config, phi):
     """State of the metric perturbed by ``phi`` (polynomial or nodal)."""
-    return state_from_total(config, _potential_values(phi, config.grid))
+    return state_from_total(config, phi)
 
 
 def state_from(base, phi):
@@ -222,32 +223,25 @@ def state_from(base, phi):
     return state_from_total(base.config, base.phi_total + values)
 
 
-def wedge_density(forms, n):
-    """Reduced density of an n-fold wedge of radial forms.
+def wedge_density(f, k, g, n):
+    """Reduced density of the wedge f^k /\\ g^(n-k), for 0 <= k <= n:
 
-    ``forms`` is a sequence of (RadialForm, multiplicity) pairs whose
-    multiplicities sum to n. Multiplicity 0 entries are allowed and ignored.
+        k A_f B_f^(k-1) B_g^(n-k) + (n-k) A_g B_g^(n-k-1) B_f^k,
+
+    multiplied left to right, the f term first. A factor of 1 and a power of
+    1 are skipped (1 x = x and x^1 = x exactly, signed zeros included); the
+    result is always a new array.
     """
-    active, total = [], 0
-    for f, m in forms:
-        m = int(m)
-        if m < 0:
-            raise ConfigError("wedge multiplicities must be nonnegative")
+    if not 0 <= k <= n or n < 1:
+        raise ConfigError(f"wedge needs 0 <= k <= n and n >= 1, got k = {k}, n = {n}")
+    density = None
+    for own, m, other, rest in ((f, k, g, n - k), (g, n - k, f, k)):
         if m:
-            active.append((f, m))
-            total += m
-    if total != n:
-        raise ConfigError(f"wedge multiplicities must sum to the dimension {n}")
-    if not active:
-        raise ConfigError("empty wedge product")
-    for j, (fj, mj) in enumerate(active):
-        term = mj * fj.a  # a new array, so the sum never aliases an input
-        if mj > 1:
-            term = term * fj.b ** (mj - 1)
-        for k, (fk, mk) in enumerate(active):
-            if k != j:
-                term = term * fk.b ** mk
-        density = term if j == 0 else np.add(density, term, out=density)
+            term = own.a if m == 1 and rest else m * own.a  # 1 * a: the copy
+            for b, p in ((own.b, m - 1), (other.b, rest)):
+                if p:
+                    term = term * (b if p == 1 else b ** p)
+            density = term if density is None else np.add(density, term, out=density)
     return density
 
 
@@ -291,7 +285,7 @@ def average(density, config):
 
 
 def sample_admissible(config, rng, count, coeff_bound=DEFAULT_COEFF_BOUND,
-                      degree=DEFAULT_DEGREE, base=None, margin=0.3, max_tries=5000):
+                      degree=DEFAULT_DEGREE, base=None, margin=0.3):
     """Random positive potentials: coefficients uniform in [-bound, bound].
 
     Rejection sampling against the positivity test, optionally relative to a
@@ -304,9 +298,9 @@ def sample_admissible(config, rng, count, coeff_bound=DEFAULT_COEFF_BOUND,
     out = []
     tries = 0
     while len(out) < count:
-        if tries >= max_tries:
+        if tries >= MAX_SAMPLE_TRIES:
             raise ConfigError(
-                f"could not sample {count} admissible potentials in {max_tries} tries")
+                f"could not sample {count} admissible potentials in {MAX_SAMPLE_TRIES} tries")
         tries += 1
         candidate = RadialPotential(rng.uniform(-coeff_bound, coeff_bound, degree + 1))
         try:

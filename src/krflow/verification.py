@@ -92,14 +92,14 @@ def _identity_rhs(identity, ref, state, direction_values):
     if identity == "DER_J1FUN":
         if n == 1:
             return 0.0
-        mixed = wedge_density([(ref.form, 2), (state.form, n - 2)], n)
+        mixed = wedge_density(ref.form, 2, state.form, n)
         return (n - 1) * average(xi * (state.density - mixed), cfg)
     if identity == "DER_E1":
         lap = laplacian(state, xi)
-        ric_wedge = wedge_density([(state.ricci, 1), (state.form, n - 1)], n)
+        ric_wedge = wedge_density(state.ricci, 1, state.form, n)
         value = average(lap * ric_wedge, cfg)
         if n > 1:
-            ric_sq = wedge_density([(state.ricci, 2), (state.form, n - 2)], n)
+            ric_sq = wedge_density(state.ricci, 2, state.form, n)
             value -= (n - 1) * average(xi * (ric_sq - state.density), cfg)
         return value
     raise ConfigError(f"unknown identity {identity!r}")

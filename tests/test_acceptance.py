@@ -309,14 +309,14 @@ def test_criterion_08_curvature(residual_data):
         class_gap = 0.0
         for phi in entry["phis"][:10]:
             state = state_from(entry["ref1024"].state, phi)
-            density = wedge_density([(state.form, n)], n)
+            density = wedge_density(state.form, n, state.form, n)
             avg_gap = max(avg_gap, abs(
                 average(scalar_curvature(state) * density, config) - 2.0 * n))
             ric_total = integrate_ds(
-                wedge_density([(state.ricci, 1), (state.form, n - 1)], n),
+                wedge_density(state.ricci, 1, state.form, n),
                 config.grid)
             ref_total = integrate_ds(
-                wedge_density([(entry["ref1024"].form, 1), (state.form, n - 1)], n),
+                wedge_density(entry["ref1024"].form, 1, state.form, n),
                 config.grid)
             class_gap = max(class_gap, abs(ric_total - ref_total) / (n + 1) ** n)
         ok &= avg_gap <= 1e-6 and class_gap <= 1e-6
@@ -364,7 +364,7 @@ def test_criterion_10_mutation_sensitivity():
 
     state = make_state(config, BENT)
     bad_h = ricci_potential(state, normalization_offset=0.1)
-    density = wedge_density([(state.form, 1)], 1)
+    density = wedge_density(state.form, 1, state.form, 1)
     norm = abs(average((np.exp(bad_h.h) - 1.0) * density, config))
     norm_detects = norm > 1e-10
 

@@ -156,7 +156,8 @@ def test_integrate_background_density():
     for n in (1, 2, 3):
         g = build_grid(256)
         cfg = ManifoldConfig(n=n, grid=g)
-        density = wedge_density([(background(cfg).form, n)], n)
+        form = background(cfg).form
+        density = wedge_density(form, n, form, n)
         assert integrate_ds(density, g) == pytest.approx((n + 1) ** n, abs=1e-12)
 
 
@@ -194,7 +195,7 @@ def test_integrate_fourth_order_convergence():
 
 def test_integrate_flags_divergent_integrand(grid1024):
     with pytest.raises(DivergentIntegrand):
-        integrate_ds(np.full(grid1024.size + 1, 1e7), grid1024, endpoint_bound=1e8)
+        integrate_ds(np.full(grid1024.size + 1, 1e7), grid1024)
 
 
 @pytest.mark.parametrize("side", [3, -4])
@@ -215,8 +216,10 @@ def test_over_xm_bits_match_the_plain_extrapolation(grid512, rng):
         f = grid512.xm * rng.standard_normal(grid512.size + 1)
         ref = np.empty_like(f)
         ref[1:-1] = f[1:-1] / grid512.xm[1:-1]
-        ref[0] = 5.0 * ref[1] - 10.0 * ref[2] + 10.0 * ref[3] - 5.0 * ref[4] + ref[5]
-        ref[-1] = 5.0 * ref[-2] - 10.0 * ref[-3] + 10.0 * ref[-4] - 5.0 * ref[-5] + ref[-6]
+        ref[0] = (6.0 * ref[1] - 15.0 * ref[2] + 20.0 * ref[3] - 15.0 * ref[4]
+                  + 6.0 * ref[5] - ref[6])
+        ref[-1] = (6.0 * ref[-2] - 15.0 * ref[-3] + 20.0 * ref[-4] - 15.0 * ref[-5]
+                   + 6.0 * ref[-6] - ref[-7])
         assert over_xm(f, grid512).tobytes() == ref.tobytes()
 
 

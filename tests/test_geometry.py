@@ -75,43 +75,36 @@ def test_wedge_density_full_power(config2, rng):
     phi = sample_admissible(config2, rng, 1)[0]
     state = make_state(config2, phi)
     n = 2
-    density = wedge_density([(state.form, n)], n)
+    density = wedge_density(state.form, n, state.form, n)
     manual = n * state.form.a * state.form.b ** (n - 1)
     assert np.abs(density - manual).max() < 1e-12
 
 
-def test_wedge_density_mixed(config2, rng):
-    phi = sample_admissible(config2, rng, 1)[0]
-    state = make_state(config2, phi)
-    bg = background(config2)
-    density = wedge_density([(bg.form, 1), (state.form, 1)], 2)
-    manual = bg.form.a * state.form.b + state.form.a * bg.form.b
-    assert np.abs(density - manual).max() < 1e-12
+def test_wedge_density_mixed(grid256, rng):
+    for n in (1, 2, 3):
+        cfg = ManifoldConfig(n=n, grid=grid256)
+        state = make_state(cfg, sample_admissible(cfg, rng, 1)[0])
+        f, g = background(cfg).form, state.form
+        for k in range(n + 1):
+            density = wedge_density(f, k, g, n)
+            manual = (k * f.a * f.b ** max(k - 1, 0) * g.b ** (n - k)
+                      + (n - k) * g.a * g.b ** max(n - k - 1, 0) * f.b ** k)
+            assert np.abs(density - manual).max() < 1e-12, (n, k)
 
 
 def test_wedge_density_skips_zero_multiplicity(config1, rng):
     phi = sample_admissible(config1, rng, 1)[0]
     state = make_state(config1, phi)
     bg = background(config1)
-    density = wedge_density([(bg.form, 0), (state.form, 1)], 1)
+    density = wedge_density(bg.form, 0, state.form, 1)
     assert np.abs(density - state.form.a).max() == 0.0
 
 
 def test_wedge_density_degree_mismatch(config2):
     bg = background(config2)
-    with pytest.raises(ConfigError):
-        wedge_density([(bg.form, 1)], 2)
-    with pytest.raises(ConfigError):
-        wedge_density([(bg.form, -1), (bg.form, 3)], 2)
-
-
-def test_wedge_density_rejects_empty_and_zero_only(config1):
-    bg = background(config1)
-    for n in (0, 1):
+    for k, n in ((-1, 2), (3, 2), (0, 0)):
         with pytest.raises(ConfigError):
-            wedge_density([], n)
-        with pytest.raises(ConfigError):
-            wedge_density([(bg.form, 0), (bg.form, 0)], n)
+            wedge_density(bg.form, k, bg.form, n)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -119,10 +112,10 @@ def test_wedge_density_returns_a_fresh_array(grid256, n):
     cfg = ManifoldConfig(n=n, grid=grid256)
     state = make_state(cfg, RadialPotential((0.0, 0.1)))
     bg = background(cfg)
-    for forms in ([(state.form, n)], [(bg.form, 0), (state.form, n)],
-                  [(state.ricci, 1), (state.form, n - 1)]):
-        density = wedge_density(forms, n)
-        for form, _ in forms:
+    for f, k, g in ((state.form, n, state.form), (bg.form, 0, state.form),
+                    (state.ricci, 1, state.form)):
+        density = wedge_density(f, k, g, n)
+        for form in (f, g):
             assert not np.shares_memory(density, form.a)
             assert not np.shares_memory(density, form.b)
 
@@ -156,7 +149,7 @@ def test_ricci_class_total(config2, rng):
     for phi in sample_admissible(config2, rng, 3):
         state = make_state(config2, phi)
         ric_total = integrate_ds(
-            wedge_density([(state.ricci, 1), (state.form, n - 1)], n), config2.grid)
+            wedge_density(state.ricci, 1, state.form, n), config2.grid)
         assert ric_total == pytest.approx((n + 1) ** n, abs=1e-6)
 
 
@@ -173,7 +166,7 @@ def test_scalar_curvature_class_average(config2, rng):
     n = config2.n
     for phi in sample_admissible(config2, rng, 3):
         state = make_state(config2, phi)
-        density = wedge_density([(state.form, n)], n)
+        density = wedge_density(state.form, n, state.form, n)
         assert average(scalar_curvature(state) * density, config2) == \
             pytest.approx(2.0 * n, abs=1e-6)
 
@@ -183,8 +176,8 @@ def test_scalar_curvature_matches_definition(config2, rng):
     phi = sample_admissible(config2, rng, 1)[0]
     state = make_state(config2, phi)
     scal = scalar_curvature(state)
-    ric_wedge = wedge_density([(state.ricci, 1), (state.form, n - 1)], n)
-    full = wedge_density([(state.form, n)], n)
+    ric_wedge = wedge_density(state.ricci, 1, state.form, n)
+    full = wedge_density(state.form, n, state.form, n)
     interior = slice(1, -1)
     rewritten = 2.0 * n * ric_wedge[interior] / full[interior]
     assert np.abs(scal[interior] - rewritten).max() < 1e-9
@@ -202,7 +195,7 @@ def test_laplacian_zero_average(config2, rng):
     phi = sample_admissible(config2, rng, 1)[0]
     state = make_state(config2, phi)
     f = np.sin(2.0 * config2.grid.x)
-    density = wedge_density([(state.form, n)], n)
+    density = wedge_density(state.form, n, state.form, n)
     assert abs(average(laplacian(state, f) * density, config2)) <= 1e-6
 
 
@@ -222,7 +215,7 @@ def test_laplacian_self_adjoint(config2, rng):
     state = make_state(config2, phi)
     f = np.sin(2.0 * config2.grid.x)
     h = config2.grid.x ** 2
-    density = wedge_density([(state.form, n)], n)
+    density = wedge_density(state.form, n, state.form, n)
     lhs = average(f * laplacian(state, h) * density, config2)
     rhs = average(h * laplacian(state, f) * density, config2)
     assert lhs == pytest.approx(rhs, abs=1e-6)
@@ -234,7 +227,7 @@ def test_laplacian_sign_and_gradient_identity(config2, rng):
     phi = sample_admissible(config2, rng, 1)[0]
     state = make_state(config2, phi)
     f = np.cos(3.0 * config2.grid.x)
-    density = wedge_density([(state.form, n)], n)
+    density = wedge_density(state.form, n, state.form, n)
     lhs = average(f * laplacian(state, f) * density, config2)
     grad = d_ds(f, config2.grid) ** 2 * state.form.b ** (n - 1)
     rhs = -2.0 * n * average(grad, config2)
@@ -244,12 +237,13 @@ def test_laplacian_sign_and_gradient_identity(config2, rng):
 
 def test_average_normalization(config2, rng):
     n = config2.n
-    bg_density = wedge_density([(background(config2).form, n)], n)
+    bg = background(config2)
+    bg_density = wedge_density(bg.form, n, bg.form, n)
     assert average(bg_density, config2) == pytest.approx(1.0, abs=1e-12)
     assert average(np.zeros(config2.grid.size + 1), config2) == 0.0
     for phi in sample_admissible(config2, rng, 5):
         state = make_state(config2, phi)
-        density = wedge_density([(state.form, n)], n)
+        density = wedge_density(state.form, n, state.form, n)
         assert average(density, config2) == pytest.approx(1.0, abs=1e-8)
 
 
@@ -258,12 +252,12 @@ def test_class_invariance_many_samples(config1, rng):
     bg = background(config1)
     for phi in sample_admissible(config1, rng, 20):
         state = make_state(config1, phi)
-        assert average(wedge_density([(state.form, n)], n), config1) == \
+        assert average(wedge_density(state.form, n, state.form, n), config1) == \
             pytest.approx(1.0, abs=1e-6)
         ric_mixed = integrate_ds(
-            wedge_density([(state.ricci, 1), (state.form, n - 1)], n), config1.grid)
+            wedge_density(state.ricci, 1, state.form, n), config1.grid)
         ref_mixed = integrate_ds(
-            wedge_density([(bg.form, 1), (state.form, n - 1)], n), config1.grid)
+            wedge_density(bg.form, 1, state.form, n), config1.grid)
         assert abs(ric_mixed - ref_mixed) <= 1e-6 * (n + 1) ** n
 
 

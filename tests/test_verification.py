@@ -89,6 +89,18 @@ def test_suite_n2_passes():
     assert report.passed, f"failing checks: {failed}"
 
 
+@pytest.mark.parametrize("seed, n", [(seed, n) for seed in (4, 6, 7, 8) for n in (1, 2, 3)] + [
+    pytest.param(87, 2, marks=pytest.mark.xfail(strict=True, reason=(
+        "scal_class_average reads 1.27x its tolerance: d_dx's one-sided closures "
+        "at x = 1, composed four deep, on this seed's steep potentials")))])
+def test_verify_verdicts_hold_across_seeds(seed, n):
+    # the bundled suite at other seeds; 4, 6, 7 and 8 failed a check with
+    # the quartic endpoint extrapolation in calculus.over_xm
+    report = run_suite(SuiteConfig(n=n, grid_size=1024, seed=seed))
+    failed = [e.line() for e in report.entries if not e.passed]
+    assert report.passed, failed
+
+
 def test_suite_deterministic():
     config = SuiteConfig(n=1, grid_size=512, samples=6, fd_pairs=2,
                          tolerances={"scal_class_average": 1e-5})
