@@ -123,9 +123,6 @@ class RadialPotential:
         return f"RadialPotential({list(self.coeffs)})"
 
 
-ZERO_POTENTIAL = RadialPotential((0.0,))
-
-
 @dataclass(frozen=True, eq=False)
 class MetricState:
     """A validated positive metric with its cached profiles.

@@ -17,20 +17,18 @@ from .functionals import (
     _e1_energy_from,
     _j_energy_from,
     _k_energy_from,
+    _mixed_averages,
+    _pieces,
     _reference_pieces,
+    _relative_state,
     _weighted,
     c_omega_estimate,
     e1_coefficients,
-    e1_energy,
     evaluate,
     fubini_study_reference,
     futaki_of_state,
     identity_residual,
-    j_energy,
-    k_energy,
     make_reference,
-    mixed_sum,
-    re_reference,
 )
 from .geometry import (
     DEFAULT_COEFF_BOUND,
@@ -42,7 +40,6 @@ from .geometry import (
     make_state,
     sample_admissible,
     scalar_curvature,
-    state_from,
     wedge_density,
 )
 
@@ -65,89 +62,89 @@ class VariationalCheck:
         return abs(self.lhs - self.rhs) / (1.0 + max(abs(self.lhs), abs(self.rhs)))
 
 
-def _identity_functional(identity, ref, e1_coeffs=None):
+def _variations(ref, phi, e1_coeffs):
+    """The four identities' functionals at ``phi``, in ``IDENTITIES`` order,
+    from one state: the J-type mixed sums weight one set of uncentred mixed
+    averages (as ``mixed_sum`` does), and nu and E1 read one ``_pieces``."""
     n = ref.config.n
-    if identity == "DER_JFUNC":
-        weights = np.full(n + 1, float(n + 1))
-        return lambda p: mixed_sum(ref, p, weights)
-    if identity == "DER_KENERG":
-        return lambda p: k_energy(ref, p)
-    if identity == "DER_J1FUN":
-        weights = e1_coefficients(n)
-        return lambda p: mixed_sum(ref, p, weights)
-    if identity == "DER_E1":
-        return lambda p: e1_energy(ref, p, coeffs=e1_coeffs)
-    raise ConfigError(f"unknown identity {identity!r}")
+    state, values = _relative_state(ref, phi)
+    mixed = _mixed_averages(ref, state, values)
+    pieces = _pieces(ref, state, values)
+    return (_weighted(np.full(n + 1, float(n + 1)), mixed), _k_energy_from(ref, pieces),
+            _weighted(e1_coefficients(n), mixed), _e1_energy_from(ref, pieces, e1_coeffs))
 
 
-def _identity_rhs(identity, ref, state, direction_values):
+def _identity_rhs(ref, state, xi):
+    """The four analytic first variations at ``state`` along the nodal
+    direction ``xi``, in ``IDENTITIES`` order."""
     n = ref.config.n
     cfg = ref.config
-    xi = direction_values
-    if identity == "DER_JFUNC":
-        return (n + 1) * average(xi * state.density, cfg)
-    if identity == "DER_KENERG":
-        scal = scalar_curvature(state)
-        return -0.5 * average(xi * (scal - 2.0 * n) * state.density, cfg)
-    if identity == "DER_J1FUN":
-        if n == 1:
-            return 0.0
+    jfunc = (n + 1) * average(xi * state.density, cfg)
+    kenerg = -0.5 * average(xi * (scalar_curvature(state) - 2.0 * n) * state.density, cfg)
+    j1fun = 0.0
+    e1 = average(laplacian(state, xi) * wedge_density(state.ricci, 1, state.form, n), cfg)
+    if n > 1:
         mixed = wedge_density(ref.form, 2, state.form, n)
-        return (n - 1) * average(xi * (state.density - mixed), cfg)
-    if identity == "DER_E1":
-        lap = laplacian(state, xi)
-        ric_wedge = wedge_density(state.ricci, 1, state.form, n)
-        value = average(lap * ric_wedge, cfg)
-        if n > 1:
-            ric_sq = wedge_density(state.ricci, 2, state.form, n)
-            value -= (n - 1) * average(xi * (ric_sq - state.density), cfg)
-        return value
-    raise ConfigError(f"unknown identity {identity!r}")
+        j1fun = (n - 1) * average(xi * (state.density - mixed), cfg)
+        ric_sq = wedge_density(state.ricci, 2, state.form, n)
+        e1 -= (n - 1) * average(xi * (ric_sq - state.density), cfg)
+    return jfunc, kenerg, j1fun, e1
 
 
-def variational_check(identity, ref, phi, direction, dt=1e-4, e1_coeffs=None):
-    """Central finite difference of the named functional along ``direction``
-    against the analytic derivative expression evaluated at ``phi``."""
-    functional = _identity_functional(identity, ref, e1_coeffs=e1_coeffs)
-    plus = phi + direction.scaled(dt)
-    minus = phi + direction.scaled(-dt)
-    lhs = (functional(plus) - functional(minus)) / (2.0 * dt)
-    state = state_from(ref.state, phi)
-    rhs = _identity_rhs(identity, ref, state, direction.values(ref.grid))
-    return VariationalCheck(identity=identity, lhs=lhs, rhs=rhs, dt=dt)
+def variational_check(ref, phi, direction, dt=1e-4, e1_coeffs=None):
+    """Central finite differences of the four identities' functionals along
+    ``direction`` against their analytic derivatives at ``phi``.
+
+    Returns ``{identity: VariationalCheck}`` in ``IDENTITIES`` order. One
+    state at each of phi +- dt * direction serves all four differences (the
+    J-type sums read its uncentred mixed averages, nu and E1 with
+    ``e1_coeffs`` its ``_pieces``), and one state at phi all four right-hand
+    sides.
+    """
+    plus = _variations(ref, phi + direction.scaled(dt), e1_coeffs)
+    minus = _variations(ref, phi + direction.scaled(-dt), e1_coeffs)
+    rhs = _identity_rhs(ref, _relative_state(ref, phi)[0], direction.values(ref.grid))
+    return {identity: VariationalCheck(identity=identity, lhs=(p - m) / (2.0 * dt), rhs=r, dt=dt)
+            for identity, p, m, r in zip(IDENTITIES, plus, minus, rhs)}
 
 
-def _mixed_energy(ref, phi):
-    return mixed_sum(ref, phi, np.ones(ref.config.n + 1))
+COCYCLES = ("nu", "e1", "mixed_energy")
 
 
-_FUNCTIONALS = {"j": j_energy, "nu": k_energy, "e1": e1_energy,
-                "mixed_energy": _mixed_energy}
+def _cocycle_values(ref, state, values):
+    """nu, E1 (default weights) and the uncentred mixed energy at one state."""
+    pieces = _pieces(ref, state, values)
+    mixed = _mixed_averages(ref, state, values)
+    return (_k_energy_from(ref, pieces), _e1_energy_from(ref, pieces),
+            _weighted(np.ones(ref.config.n + 1), mixed))
 
 
-def cocycle_check(ref, phi1, phi2, functional):
-    """Defect of E(w, w2) = E(w, w1) + E(w1, w2), normalized by the scale.
+def cocycle_check(ref, phi1, phi2):
+    """Defects of E(w, w2) = E(w, w1) + E(w1, w2), each normalized by its
+    scale, as ``{name: defect}`` for the ``COCYCLES``: the K-energy, the first
+    Chen-Tian energy and the mixed (Monge-Ampere) energy, all at
+    discretization level. All three read one state at each of phi1 and phi2,
+    the reference w1 promoted from the phi1 state, and one leg state at
+    phi2 - phi1 relative to w1.
 
-    True (defect at discretization level) for the K-energy, the first
-    Chen-Tian energy, and the mixed (Monge-Ampere) energy. The generalized
-    energy J satisfies the diagonal axiom but NOT the cocycle. J is the
-    reference average of phi minus the mixed energy, and the mixed energy is
-    a cocycle, so J's signed defect telescopes exactly to
+    The generalized energy J satisfies the diagonal axiom but NOT the
+    cocycle. J is the reference average of phi minus the mixed energy, and
+    the mixed energy is a cocycle, so J's signed defect telescopes exactly to
 
         J(w, phi2) - J(w, phi1) - J(w1, phi2 - phi1)
             = average((phi2 - phi1) * (ref.state.density - ref1.state.density)),
 
     with ref1 = re_reference(ref, phi1). It is generically of order one
-    (eps^2/12 for the pair (eps x, 2 eps x) at n = 1). The check measures
-    whatever the named functional does.
+    (eps^2/12 for the pair (eps x, 2 eps x) at n = 1).
     """
-    f = _FUNCTIONALS[functional]
-    total = f(ref, phi2)
-    first = f(ref, phi1)
-    second = f(re_reference(ref, phi1), phi2 - phi1)
-    defect = abs(total - first - second)
-    scale = max(abs(total), abs(first), abs(second))
-    return defect / (1.0 + scale)
+    state1, values1 = _relative_state(ref, phi1)
+    ref1 = make_reference(state1)
+    totals = _cocycle_values(ref, *_relative_state(ref, phi2))
+    firsts = _cocycle_values(ref, state1, values1)
+    seconds = _cocycle_values(ref1, *_relative_state(ref1, phi2 - phi1))
+    return {name: abs(total - first - second)
+            / (1.0 + max(abs(total), abs(first), abs(second)))
+            for name, total, first, second in zip(COCYCLES, totals, firsts, seconds)}
 
 
 @dataclass(frozen=True)
@@ -223,12 +220,20 @@ class SuiteConfig:
     b1_offset: float = 0.0
     h_norm_offset: float = 0.0
 
+    def __post_init__(self):
+        # the shift check reads 3 samples, the cocycle checks 3 pairs of them
+        if self.samples < 6:
+            raise ConfigError(f"samples must be at least 6, got {self.samples}")
+        if self.fd_pairs < 1:
+            raise ConfigError(f"fd_pairs must be at least 1, got {self.fd_pairs}")
+
     def tolerance(self, name):
         return float(self.tolerances.get(name, DEFAULT_TOLERANCES[name]))
 
 
 def run_suite(config):
-    """Run every check; failures become FAIL entries, never exceptions."""
+    """Run every check; failures become FAIL entries, never exceptions. Each
+    finite-difference pair and each of the three cocycle pairs is one call."""
     entries = []
 
     def add(name, value):
@@ -267,21 +272,16 @@ def run_suite(config):
         direction = RadialPotential(
             rng.uniform(-DEFAULT_COEFF_BOUND, DEFAULT_COEFF_BOUND, DEFAULT_DEGREE + 1))
         pairs.append((base, direction))
+    checks = [variational_check(fs_ref, base, direction, dt=config.fd_dt, e1_coeffs=e1_coeffs)
+              for base, direction in pairs]
     for identity in IDENTITIES:
-        coeffs = e1_coeffs if identity == "DER_E1" else None
-        worst = max(
-            variational_check(identity, fs_ref, base, direction,
-                              dt=config.fd_dt, e1_coeffs=coeffs).rel_err
-            for base, direction in pairs)
-        add(identity.lower(), worst)
+        add(identity.lower(), max(c[identity].rel_err for c in checks))
 
     # energy-functional axioms (cocycles hold for nu, e1 and the mixed
     # energy; J is checked on the diagonal axiom only, see cocycle_check)
-    for name, key in (("cocycle_nu", "nu"), ("cocycle_e1", "e1"),
-                      ("cocycle_mixed_energy", "mixed_energy")):
-        worst = max(cocycle_check(fs_ref, p1, p2, key)
-                    for p1, p2 in zip(potentials[:3], potentials[3:6]))
-        add(name, worst)
+    defects = [cocycle_check(fs_ref, p1, p2) for p1, p2 in zip(potentials[:3], potentials[3:6])]
+    for name in COCYCLES:
+        add("cocycle_" + name, max(d[name] for d in defects))
     diag = 0.0
     for ref in (bent_ref, fs_ref):
         pieces = _reference_pieces(ref)

@@ -98,6 +98,16 @@ def test_verify_missing_file(tmp_path):
     assert main(["verify", "--config", str(tmp_path / "absent.ini")]) == 2
 
 
+@pytest.mark.parametrize("key, value", [("samples", 3), ("samples", 5), ("fd_pairs", 0)])
+def test_verify_rejects_too_few_samples_or_pairs(tmp_path, capsys, key, value):
+    config = _write(tmp_path, "bad.ini",
+                    f"[run]\nn = 1\ngrid_size = 128\n\n[suite]\n{key} = {value}\n")
+    assert main(["verify", "--config", config]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("configuration error: ") and key in captured.err
+
+
 def test_verify_mutation_config_fails(tmp_path, capsys):
     config = _write(tmp_path, "mutated.ini",
                     VERIFY_FAST + "\n[mutation]\nb1_offset = 0.1\n")

@@ -3,9 +3,27 @@ import pytest
 
 from krflow import flow, functionals, geometry, verification
 from krflow.calculus import build_grid
-from krflow.functionals import fubini_study_reference
-from krflow.geometry import ManifoldConfig, RadialPotential, sample_admissible
+from krflow.errors import ConfigError
+from krflow.functionals import (
+    e1_coefficients,
+    e1_energy,
+    fubini_study_reference,
+    j_energy,
+    k_energy,
+    make_reference,
+    mixed_sum,
+    re_reference,
+)
+from krflow.geometry import (
+    ManifoldConfig,
+    RadialPotential,
+    average,
+    make_state,
+    sample_admissible,
+    scalar_curvature,
+)
 from krflow.verification import (
+    COCYCLES,
     IDENTITIES,
     SuiteConfig,
     VariationalCheck,
@@ -17,6 +35,14 @@ from krflow.verification import (
 ZERO = RadialPotential((0.0,))
 
 
+def _two_point_defect(f, ref, phi1, phi2):
+    """|f(ref, phi2) - f(ref, phi1) - f(ref1, phi2 - phi1)| over 1 + the
+    largest of the three, ref1 = re_reference(ref, phi1)."""
+    total, first = f(ref, phi2), f(ref, phi1)
+    second = f(re_reference(ref, phi1), phi2 - phi1)
+    return abs(total - first - second) / (1.0 + max(abs(total), abs(first), abs(second)))
+
+
 def test_rel_err_normalization():
     check = VariationalCheck(identity="DER_JFUNC", lhs=2.0, rhs=1.0, dt=1e-4)
     assert check.rel_err == pytest.approx(1.0 / 3.0)
@@ -24,7 +50,7 @@ def test_rel_err_normalization():
 
 def test_der_kenerg_critical_point(fs_ref1, rng):
     direction = RadialPotential(rng.uniform(-0.3, 0.3, 9))
-    check = variational_check("DER_KENERG", fs_ref1, ZERO, direction)
+    check = variational_check(fs_ref1, ZERO, direction)["DER_KENERG"]
     assert check.rhs == 0.0
     assert abs(check.lhs) <= 1e-6
 
@@ -37,44 +63,92 @@ def test_variational_identities_random(identity, n, rng):
     for _ in range(2):
         base = sample_admissible(cfg, rng, 1)[0]
         direction = RadialPotential(rng.uniform(-0.3, 0.3, 9))
-        check = variational_check(identity, ref, base, direction, dt=1e-4)
+        check = variational_check(ref, base, direction, dt=1e-4)[identity]
         assert check.rel_err <= 1e-5
 
 
 def test_der_j1fun_degenerate_dimension(fs_ref1, rng):
     base = sample_admissible(fs_ref1.config, rng, 1)[0]
     direction = RadialPotential(rng.uniform(-0.3, 0.3, 9))
-    check = variational_check("DER_J1FUN", fs_ref1, base, direction)
+    check = variational_check(fs_ref1, base, direction)["DER_J1FUN"]
     assert check.lhs == 0.0 and check.rhs == 0.0
     assert check.rel_err == 0.0
 
 
-def test_unknown_identity(fs_ref1):
-    from krflow.errors import ConfigError
-    with pytest.raises(ConfigError):
-        variational_check("DER_BOGUS", fs_ref1, ZERO, ZERO)
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_variational_check_bits_match_each_functional(n, rng):
+    # the shared states give the same bits as one central difference per
+    # functional, with E1's b1 weight offset as the suite's mutation does
+    cfg = ManifoldConfig(n=n, grid=build_grid(256))
+    ref = fubini_study_reference(cfg)
+    e1_coeffs = e1_coefficients(n)
+    e1_coeffs[1] += 0.05
+    base = sample_admissible(cfg, rng, 1)[0]
+    direction = RadialPotential(rng.uniform(-0.3, 0.3, 9))
+    dt = 1e-4
+    functionals_ = {
+        "DER_JFUNC": lambda p: mixed_sum(ref, p, np.full(n + 1, float(n + 1))),
+        "DER_KENERG": lambda p: k_energy(ref, p),
+        "DER_J1FUN": lambda p: mixed_sum(ref, p, e1_coefficients(n)),
+        "DER_E1": lambda p: e1_energy(ref, p, coeffs=e1_coeffs),
+    }
+    checks = variational_check(ref, base, direction, dt=dt, e1_coeffs=e1_coeffs)
+    assert tuple(checks) == IDENTITIES
+    for identity, f in functionals_.items():
+        lhs = (f(base + direction.scaled(dt)) - f(base + direction.scaled(-dt))) / (2.0 * dt)
+        assert checks[identity].lhs == lhs
+        assert checks[identity].identity == identity and checks[identity].dt == dt
+    state = make_state(cfg, base)
+    xi = direction.values(ref.grid)
+    assert checks["DER_JFUNC"].rhs == (n + 1) * average(xi * state.density, cfg)
+    assert checks["DER_KENERG"].rhs == -0.5 * average(
+        xi * (scalar_curvature(state) - 2.0 * n) * state.density, cfg)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_cocycle_check_bits_match_each_functional(n, rng):
+    cfg = ManifoldConfig(n=n, grid=build_grid(256))
+    bent = make_reference(make_state(cfg, RadialPotential((0.0, 0.2, 0.1))))
+    functionals_ = {"nu": k_energy, "e1": e1_energy,
+                    "mixed_energy": lambda ref, p: mixed_sum(ref, p, np.ones(n + 1))}
+    for ref in (fubini_study_reference(cfg), bent):
+        p1, p2 = sample_admissible(cfg, rng, 2, coeff_bound=0.2, base=ref.state)
+        defects = cocycle_check(ref, p1, p2)
+        assert tuple(defects) == COCYCLES
+        for name, f in functionals_.items():
+            assert defects[name] == _two_point_defect(f, ref, p1, p2)
 
 
 def test_cocycle_trivial_cases(fs_ref1, rng):
     phi = sample_admissible(fs_ref1.config, rng, 1)[0]
-    assert cocycle_check(fs_ref1, ZERO, ZERO, "nu") == 0.0
-    assert cocycle_check(fs_ref1, phi, phi, "nu") <= 1e-8
-    assert cocycle_check(fs_ref1, phi, phi, "e1") <= 1e-8
+    assert cocycle_check(fs_ref1, ZERO, ZERO)["nu"] == 0.0
+    same = cocycle_check(fs_ref1, phi, phi)
+    assert same["nu"] <= 1e-8
+    assert same["e1"] <= 1e-8
 
 
 @pytest.mark.parametrize("functional", ["nu", "e1", "mixed_energy"])
 def test_cocycle_random_pairs(fs_ref2, functional, rng):
     p1, p2 = sample_admissible(fs_ref2.config, rng, 2, coeff_bound=0.2)
-    assert cocycle_check(fs_ref2, p1, p2, functional) <= 1e-6
+    assert cocycle_check(fs_ref2, p1, p2)[functional] <= 1e-6
 
 
 def test_j_cocycle_defect_is_structural(fs_ref1, rng):
     # J satisfies the diagonal axiom but not the cocycle: the defect equals
     # the average of (phi2 - phi1) against the difference of volume forms
-    # and is of order one for generic pairs.
+    # (cocycle_check's docstring) and is of order one for generic pairs.
     p1, p2 = sample_admissible(fs_ref1.config, rng, 2)
-    assert cocycle_check(fs_ref1, p1, p1, "j") <= 1e-8
-    assert cocycle_check(fs_ref1, p1, p2, "j") > 1e-4
+    assert _two_point_defect(j_energy, fs_ref1, p1, p1) <= 1e-8
+    assert _two_point_defect(j_energy, fs_ref1, p1, p2) > 1e-4
+
+
+@pytest.mark.parametrize("field, value", [("samples", 3), ("samples", 5), ("fd_pairs", 0)])
+def test_suite_config_rejects_too_few_samples_or_pairs(field, value):
+    # fewer than 6 samples leaves the cocycle checks short of their 3 pairs,
+    # and no finite-difference pair leaves the identities unchecked
+    with pytest.raises(ConfigError, match=field):
+        SuiteConfig(**{field: value})
+    SuiteConfig(samples=6, fd_pairs=1)
 
 
 def test_suite_default_passes():
@@ -138,13 +212,17 @@ def test_suite_h_mutation_detected():
 
 def test_suite_state_builds(monkeypatch):
     # outside the sampler and the short flow, a suite with S samples and P
-    # finite-difference pairs builds 48 + 2 S + 12 P states: the two
-    # references (2), the S reports (S), the shifted copies (3), 3 per
-    # identity and pair (12 P), the cocycle legs (36), the Futaki pool (2),
-    # the curvature averages (5) and the perturbed residuals (S). The
-    # background residuals read the reports, and the zero-potential residuals
-    # and the diagonal read each reference's own state
+    # finite-difference pairs builds 21 + 2 S + 3 P states: the two
+    # references (2), the S reports (S), the shifted copies (3), 3 per pair
+    # for all four identities (3 P), 3 per cocycle pair for all three
+    # functionals (9), the Futaki pool (2), the curvature averages (5) and
+    # the perturbed residuals (S). The background residuals read the
+    # reports, and the zero-potential residuals and the diagonal read each
+    # reference's own state. It makes 6 references: the background, the
+    # bent one, one per cocycle pair and the flow's
     counts = {"suite": 0, "sampler": 0, "flow": 0}
+    references = []
+    real_reference = functionals.make_reference
     phase = ["suite"]
     real_build = geometry.state_from_total
 
@@ -161,14 +239,21 @@ def test_suite_state_builds(monkeypatch):
                 phase.pop()
         return wrapped
 
+    def reference(*args, **kwargs):
+        references.append(phase[-1])
+        return real_reference(*args, **kwargs)
+
     for module in (geometry, functionals, flow):
         monkeypatch.setattr(module, "state_from_total", build)
+    for module in (functionals, verification, flow):
+        monkeypatch.setattr(module, "make_reference", reference)
     monkeypatch.setattr(verification, "sample_admissible",
                         within("sampler", verification.sample_admissible))
     monkeypatch.setattr(verification, "run", within("flow", verification.run))
     run_suite(SuiteConfig(n=2, grid_size=128, samples=6, fd_pairs=1, flow_grid=64,
                           flow_t_max=0.05))
-    assert counts["suite"] == 48 + 2 * 6 + 12 * 1
+    assert counts["suite"] == 21 + 2 * 6 + 3 * 1
+    assert len(references) == 6
     assert counts["sampler"] >= 6 + 2 + 1 + 6 and counts["flow"] >= 2
 
 
