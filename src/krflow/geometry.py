@@ -44,6 +44,7 @@ from .errors import ConfigError, NotInPotentialSpace
 
 DEFAULT_DEGREE = 8
 DEFAULT_COEFF_BOUND = 0.3
+SAMPLE_MARGIN = 0.3  # ``sample_admissible``'s floor on the reduced ratios Ahat and Bhat
 MAX_SAMPLE_TRIES = 5000  # candidates ``sample_admissible`` draws before giving up
 
 
@@ -282,12 +283,12 @@ def average(density, config):
 
 
 def sample_admissible(config, rng, count, coeff_bound=DEFAULT_COEFF_BOUND,
-                      degree=DEFAULT_DEGREE, base=None, margin=0.3):
+                      degree=DEFAULT_DEGREE, base=None):
     """Random positive potentials: coefficients uniform in [-bound, bound].
 
     Rejection sampling against the positivity test, optionally relative to a
-    ``base`` state. Candidates whose reduced ratios dip below ``margin`` are
-    rejected as well: states arbitrarily close to the cone boundary are
+    ``base`` state. Candidates whose Ahat or Bhat dips below ``SAMPLE_MARGIN``
+    are rejected as well: states arbitrarily close to the cone boundary are
     admissible but numerically degenerate (log-density gradients diverge),
     and every tolerance in the suite presumes interior states.
     Deterministic for a seeded generator.
@@ -307,7 +308,7 @@ def sample_admissible(config, rng, count, coeff_bound=DEFAULT_COEFF_BOUND,
                 state = state_from(base, candidate)
         except NotInPotentialSpace:
             continue
-        if min(state.ahat.min(), state.bhat.min()) < margin:
+        if min(state.ahat.min(), state.bhat.min()) < SAMPLE_MARGIN:
             continue
         out.append(candidate)
     return out

@@ -14,12 +14,11 @@ from .errors import ConfigError
 from .calculus import build_grid, d_ds
 from .flow import FlowConfig, run
 from .functionals import (
+    _averages,
     _e1_energy_from,
     _j_energy_from,
     _k_energy_from,
-    _mixed_averages,
     _pieces,
-    _reference_pieces,
     _relative_state,
     _weighted,
     c_omega_estimate,
@@ -64,12 +63,11 @@ class VariationalCheck:
 
 def _variations(ref, phi, e1_coeffs):
     """The four identities' functionals at ``phi``, in ``IDENTITIES`` order,
-    from one state: the J-type mixed sums weight one set of uncentred mixed
-    averages (as ``mixed_sum`` does), and nu and E1 read one ``_pieces``."""
+    from one ``_pieces``: nu and E1 read it, and the J-type mixed sums weight
+    the uncentred averages against its wedges (as ``mixed_sum`` does)."""
     n = ref.config.n
-    state, values = _relative_state(ref, phi)
-    mixed = _mixed_averages(ref, state, values)
-    pieces = _pieces(ref, state, values)
+    pieces = _pieces(ref, *_relative_state(ref, phi))
+    mixed = _averages(pieces.values, pieces.wedges, ref.config)
     return (_weighted(np.full(n + 1, float(n + 1)), mixed), _k_energy_from(ref, pieces),
             _weighted(e1_coefficients(n), mixed), _e1_energy_from(ref, pieces, e1_coeffs))
 
@@ -96,10 +94,9 @@ def variational_check(ref, phi, direction, dt=1e-4, e1_coeffs=None):
     ``direction`` against their analytic derivatives at ``phi``.
 
     Returns ``{identity: VariationalCheck}`` in ``IDENTITIES`` order. One
-    state at each of phi +- dt * direction serves all four differences (the
-    J-type sums read its uncentred mixed averages, nu and E1 with
-    ``e1_coeffs`` its ``_pieces``), and one state at phi all four right-hand
-    sides.
+    state and its one ``_pieces`` at each of phi +- dt * direction serve all
+    four differences (E1 with ``e1_coeffs``), and one state at phi all four
+    right-hand sides.
     """
     plus = _variations(ref, phi + direction.scaled(dt), e1_coeffs)
     minus = _variations(ref, phi + direction.scaled(-dt), e1_coeffs)
@@ -112,9 +109,10 @@ COCYCLES = ("nu", "e1", "mixed_energy")
 
 
 def _cocycle_values(ref, state, values):
-    """nu, E1 (default weights) and the uncentred mixed energy at one state."""
+    """nu, E1 (default weights) and the uncentred mixed energy at one state,
+    all from one ``_pieces`` and its wedges."""
     pieces = _pieces(ref, state, values)
-    mixed = _mixed_averages(ref, state, values)
+    mixed = _averages(values, pieces.wedges, ref.config)
     return (_k_energy_from(ref, pieces), _e1_energy_from(ref, pieces),
             _weighted(np.ones(ref.config.n + 1), mixed))
 
@@ -284,7 +282,7 @@ def run_suite(config):
         add("cocycle_" + name, max(d[name] for d in defects))
     diag = 0.0
     for ref in (bent_ref, fs_ref):
-        pieces = _reference_pieces(ref)
+        pieces = _pieces(ref, ref.state, np.zeros_like(ref.state.phi_total))
         values = (_j_energy_from(ref, pieces)[0], _k_energy_from(ref, pieces),
                   _e1_energy_from(ref, pieces),
                   _weighted(np.ones(n + 1), pieces.mixed))  # the mixed energy

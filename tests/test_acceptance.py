@@ -37,7 +37,12 @@ from krflow.geometry import (
     scalar_curvature,
     wedge_density,
 )
-from krflow.verification import IDENTITIES, cocycle_check, variational_check
+from krflow.verification import (
+    DEFAULT_TOLERANCES,
+    IDENTITIES,
+    cocycle_check,
+    variational_check,
+)
 
 SEED = 20240901
 BENT = RadialPotential((0.0, 0.2, 0.1))
@@ -109,7 +114,8 @@ def test_criterion_01_residual_constancy(residual_data):
     for (n, ref_name), entry in residual_data.items():
         spread1024 = max(entry["residuals1024"]) - min(entry["residuals1024"])
         spread2048 = max(entry["residuals2048"]) - min(entry["residuals2048"])
-        tol = 1e-6 * (1.0 + abs(entry["c_omega"]))
+        tol = (DEFAULT_TOLERANCES[f"residual_constancy_{ref_name}"]
+               * (1.0 + abs(entry["c_omega"])))
         ratio = spread1024 / spread2048
         ok &= spread2048 <= tol
         # grid doubling must buy at least the designed fourth order (~16x);
@@ -129,7 +135,7 @@ def test_criterion_02_inequality(residual_data, long_flow):
             worst = min(worst, report.e1 - 2.0 * report.nu - c)
     trace, _ = long_flow
     worst = min(worst, trace.inequality_margin())
-    ok = worst >= -1e-8
+    ok = worst >= -DEFAULT_TOLERANCES["flow_inequality"]
     assert _criterion(2, "Theorem-2 inequality", ok, f"min margin {worst:.2e}")
 
 
@@ -165,7 +171,7 @@ def test_criterion_04_variational_identities():
         for identity in IDENTITIES:
             err = max(c[identity].rel_err for c in checks)
             worst[(identity, n)] = err
-            ok &= err <= 1e-5
+            ok &= err <= DEFAULT_TOLERANCES[identity.lower()]
     detail = ", ".join(f"{k[0]}(n={k[1]})={v:.1e}" for k, v in worst.items())
     assert _criterion(4, "variational identities", ok, detail)
 
@@ -177,11 +183,12 @@ def test_criterion_05a_axioms_nu_e1():
         config = ManifoldConfig(n=n, grid=build_grid(1024))
         ref = fubini_study_reference(config)
         rng = np.random.default_rng(SEED)
-        triple_worst = 0.0
+        cocycle = dict.fromkeys(("nu", "e1"), 0.0)
         for _ in range(5):
             p1, p2 = sample_admissible(config, rng, 2, coeff_bound=0.2)
             defects = cocycle_check(ref, p1, p2)
-            triple_worst = max(triple_worst, defects["nu"], defects["e1"])
+            for name in cocycle:
+                cocycle[name] = max(cocycle[name], defects[name])
         diag = max(abs(f(ref, ZERO)) for f in (j_energy, k_energy, e1_energy))
         bent_ref = make_reference(make_state(config, BENT))
         diag = max(diag, *(abs(f(bent_ref, ZERO))
@@ -189,8 +196,10 @@ def test_criterion_05a_axioms_nu_e1():
         phi = sample_admissible(config, rng, 1)[0]
         shift = max(abs(f(ref, phi + RadialPotential((2.5,))) - f(ref, phi))
                     for f in (j_energy, k_energy, e1_energy))
-        ok &= triple_worst <= 1e-6 and diag <= 1e-8 and shift <= 1e-8
-        details.append(f"n={n}: cocycle {triple_worst:.1e}, diagonal {diag:.1e}, "
+        ok &= all(cocycle[name] <= DEFAULT_TOLERANCES["cocycle_" + name] for name in cocycle)
+        ok &= diag <= DEFAULT_TOLERANCES["diagonal_vanishing"]
+        ok &= shift <= DEFAULT_TOLERANCES["shift_invariance"]
+        details.append(f"n={n}: cocycle {max(cocycle.values()):.1e}, diagonal {diag:.1e}, "
                        f"shift {shift:.1e}")
     assert _criterion(5, "axioms (nu, E1 cocycles; diagonal; shift)", ok,
                       "; ".join(details))
@@ -352,19 +361,20 @@ def test_criterion_10_mutation_sensitivity():
     residuals = [identity_residual(ref, ZERO, e1_coeffs=corrupted)]
     residuals += [identity_residual(ref, phi, e1_coeffs=corrupted) for phi in phis]
     spread = max(residuals) - min(residuals)
-    residual_detects = spread > 1e-6 * (1.0 + abs(residuals[0]))
+    residual_detects = spread > (DEFAULT_TOLERANCES["residual_constancy_background"]
+                                 * (1.0 + abs(residuals[0])))
 
     der_err = max(
         variational_check(ref, phis[i], RadialPotential(rng.uniform(-0.3, 0.3, 9)),
                           dt=1e-4, e1_coeffs=corrupted)["DER_E1"].rel_err
         for i in range(5))
-    der_detects = der_err > 1e-5
+    der_detects = der_err > DEFAULT_TOLERANCES["der_e1"]
 
     state = make_state(config, BENT)
     bad_h = ricci_potential(state, normalization_offset=0.1)
     density = wedge_density(state.form, 1, state.form, 1)
     norm = abs(average((np.exp(bad_h.h) - 1.0) * density, config))
-    norm_detects = norm > 1e-10
+    norm_detects = norm > DEFAULT_TOLERANCES["h_normalization"]
 
     ok = residual_detects and der_detects and norm_detects
     assert _criterion(

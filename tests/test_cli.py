@@ -15,7 +15,7 @@ from krflow.cli import (
 )
 from krflow.flow import TRACE_COLUMNS, FlowConfig, FlowRecord, FlowTrace
 from krflow.geometry import RadialPotential
-from krflow.verification import SuiteConfig
+from krflow.verification import DEFAULT_TOLERANCES, SuiteConfig
 
 ROOT = Path(__file__).resolve().parents[1]
 SHIPPED_CONFIGS = sorted([*(ROOT / "src" / "krflow" / "configs").glob("*.ini"),
@@ -114,6 +114,35 @@ def test_verify_mutation_config_fails(tmp_path, capsys):
     assert main(["verify", "--config", config]) == 1
     out = capsys.readouterr().out
     assert "der_e1,FAIL" in out
+
+
+VERIFY_COARSE = """
+[run]
+n = 2
+grid_size = 32
+
+[suite]
+samples = 6
+fd_pairs = 1
+flow_grid = 64
+flow_t_max = 0.05
+"""
+
+
+@pytest.mark.parametrize("override, status", [("", "FAIL"),
+                                              ("[tolerances]\nj_expressions_agree = 1e-3\n",
+                                               "PASS")])
+def test_verify_reports_j_forms_disagreement(tmp_path, capsys, override, status):
+    # on a 32-panel grid J's two forms differ by about 2e-5 relative: the
+    # suite grades that under j_expressions_agree (and its override) and
+    # prints every entry instead of aborting on the first J evaluation
+    config = _write(tmp_path, "coarse.ini", VERIFY_COARSE + override)
+    assert main(["verify", "--config", config]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    lines = captured.out.splitlines()
+    assert len(lines) == len(DEFAULT_TOLERANCES)
+    assert lines[0].startswith(f"j_expressions_agree,{status},")
 
 
 @pytest.mark.parametrize("entry", ("dt_safety = 0.9", "representation = nodal",

@@ -119,6 +119,37 @@ def test_cocycle_check_bits_match_each_functional(n, rng):
             assert defects[name] == _two_point_defect(f, ref, p1, p2)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_checks_wedge_counts(n, rng, monkeypatch):
+    # each state's n + 1 wedges come from its one _pieces, whose two ends are
+    # the state's and the reference's volume densities: a state costs its
+    # build's density, the n - 1 inner wedges and E1's entropy density
+    calls = []
+    real = geometry.wedge_density
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    for module in (geometry, functionals, verification):
+        monkeypatch.setattr(module, "wedge_density", counted)
+    cfg = ManifoldConfig(n=n, grid=build_grid(128))
+    ref = fubini_study_reference(cfg)
+    base, other = sample_admissible(cfg, rng, 2)
+    calls.clear()
+    variational_check(ref, base, RadialPotential(rng.uniform(-0.3, 0.3, 9)))
+    # two varied states, then the state at phi and its right-hand sides'
+    # wedges (Ric wedge state^(n-1); at n > 1 also ref^2 and Ric^2)
+    assert len(calls) == 2 * (n + 1) + 2 + (2 if n > 1 else 0)
+    calls.clear()
+    cocycle_check(ref, base, other)
+    # three states (the reference promoted from the first one shares its
+    # build) and that reference's c1 density; no wedge against ``ref`` is
+    # computed at k = 0 or k = n
+    assert len(calls) == 3 * (n + 1) + 1
+    assert {args[1] for args in calls if args[0] is ref.form} == set(range(1, n))
+
+
 def test_cocycle_trivial_cases(fs_ref1, rng):
     phi = sample_admissible(fs_ref1.config, rng, 1)[0]
     assert cocycle_check(fs_ref1, ZERO, ZERO)["nu"] == 0.0
