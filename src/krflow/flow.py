@@ -21,12 +21,12 @@ record time, to the record's state build. Only the stage's profiles are
 derived besides, inside the velocity kernel.
 
 Records fall on a time grid: record k sits at t = k * record_every * dt0,
-where dt0 is the initial step size (``dt_init`` or its default, capped by
-``_stable_dt`` at the initial state). Steps are cut to land on record times
-and on t_max. A step that leaves the positive cone is rejected and retried
-from the same start at half the size, until dt falls below 1e-14 and the
-run aborts; after every _GROW_STREAK accepted steps the size grows by
-1 / _DT_SAFETY again, up to the record spacing.
+where dt0 is ``_stable_dt`` at the initial state, or ``dt_init`` when that
+is smaller. Steps are cut to land on record times and on t_max. A step that
+leaves the positive cone is rejected and retried from the same start at half
+the size, until dt falls below 1e-14 and the run aborts; after every
+_GROW_STREAK accepted steps the size grows by 1 / _DT_SAFETY again, up to the
+record spacing.
 
 Potentials would drift by an exponentially growing constant along the flow
 (the +phi term integrates the spatially constant mode). Every recorded
@@ -45,8 +45,7 @@ from . import _kernels, banded
 from .calculus import HALF_BAND, derivative_bands
 from .errors import ConfigError, FlowAborted, StepRejected
 from .functionals import (
-    _identity_terms,
-    _pieces,
+    Energies,
     c_omega_estimate,
     fubini_study_reference,
     futaki_of_state,
@@ -81,12 +80,12 @@ class FlowConfig:
     """Flow run parameters.
 
     ``initial`` and the optional ``reference`` are potentials relative to the
-    background. ``dt_init`` defaults to 1e-4 (2048/N)^2 and is additionally
-    capped by the stability estimate; the result dt0 is the unit of the
-    record grid: records fall at t = k * ``record_every`` * dt0 (plus the
-    initial and final states), the spacing at which a classical explicit
-    method at the stability cap would record every ``record_every`` steps.
-    Steps run at the record spacing unless a rejection has shortened them.
+    background. dt0, the stability estimate at the initial state or
+    ``dt_init`` when that is smaller, is the unit of the record grid: records
+    fall at t = k * ``record_every`` * dt0 (plus the initial and final
+    states), the spacing at which a classical explicit method at the
+    stability cap would record every ``record_every`` steps. Steps run at
+    the record spacing unless a rejection has shortened them.
     """
 
     manifold: ManifoldConfig
@@ -161,10 +160,6 @@ class FlowTrace:
         return min(min(rec.min_ahat, rec.min_bhat) for rec in self.records)
 
 
-def default_dt_init(grid):
-    return 1e-4 * (2048.0 / grid.size) ** 2
-
-
 def _stable_dt(config, r, q):
     """Spectral step unit 2.5 / lambda from a frozen-coefficient symbol bound.
 
@@ -172,8 +167,8 @@ def _stable_dt(config, r, q):
     diffusion coefficient in x is x(1-x)/r, 1.9/dx^2 bounds the squared
     symbol of the composed first-derivative stencils, 1.4/dx the first-order
     part, +2 covers the zero-order term. 2.5 / lambda is the classical RK4
-    stability limit. The flow's step has no stability limit; this unit only
-    caps dt0, the unit of the record grid.
+    stability limit. The flow's step has no stability limit; this unit is
+    dt0, the unit of the record grid, unless ``dt_init`` is smaller.
     """
     g = config.grid
     n = config.n
@@ -278,15 +273,14 @@ def step(ref, phi, dt, trace=None, start=None):
 
 
 def _record(ref, state, t):
-    nu, e1, dir_term, residual = _identity_terms(
-        ref, _pieces(ref, state, state.phi_total - ref.state.phi_total))
+    energies = Energies(ref, state, state.phi_total - ref.state.phi_total)
     scal = scalar_curvature(state)
     return FlowRecord(
         t=t,
-        nu=nu,
-        e1=e1,
-        dirichlet=dir_term,
-        residual=residual,
+        nu=energies.nu,
+        e1=energies.e1,
+        dirichlet=energies.dirichlet,
+        residual=energies.residual,
         scal_min=float(scal.min()),
         scal_max=float(scal.max()),
         futaki=futaki_of_state(state),
@@ -312,8 +306,9 @@ def run(config):
     trace = FlowTrace(c_omega=c_omega_estimate(ref))
     trace.records.append(_record(ref, state, 0.0))
 
-    dt0 = config.dt_init if config.dt_init is not None else default_dt_init(g)
-    dt0 = min(dt0, _stable_dt(manifold, state.r, state.q))
+    dt0 = _stable_dt(manifold, state.r, state.q)
+    if config.dt_init is not None:
+        dt0 = min(config.dt_init, dt0)
     spacing = config.record_every * dt0
     dt = spacing
     t = 0.0

@@ -15,14 +15,14 @@ deliberately corrupted coefficient systems). ``mixed_sum`` is the uncentered
 primitive and feels constants.
 
 J, nu and E1 weight the same n + 1 mixed averages <phi, ref^k wedge
-perturbed^(n-k)>. ``_pieces`` derives a state's n + 1 wedges once, the two
-ends being the states' own volume densities, and averages the centred and,
-through ``_averages``, the uncentred values against them.
+perturbed^(n-k)>. ``Energies`` derives them once per state, and each energy
+once, when first read; the public functionals, the flow's records and the
+verification suite's checks all read it.
 """
 
 import math
-from collections import namedtuple
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -40,6 +40,7 @@ from .geometry import (
 
 
 ENDPOINT_TOL = 1e-7  # ``ricci_potential``'s endpoint test on B_ric - B, per 1 + max B
+J_FORMS_TOL = 1e-6  # ``j_energy``'s bound on the gap of J's two forms, per 1 + |J|
 
 
 def k_energy_coefficients(n):
@@ -143,40 +144,88 @@ def re_reference(ref, psi):
     return make_reference(state_from(ref.state, psi))
 
 
-def _relative_state(ref, phi):
-    values = _potential_values(phi, ref.grid)
-    return state_from_total(ref.config, ref.state.phi_total + values), values
-
-
 def _entropy_density(state, form):
     """(Ric(state) + form) wedge state^(n-1), the density of E1's entropy term."""
     ric_plus = RadialForm(a=state.ricci.a + form.a, b=state.ricci.b + form.b)
     return wedge_density(ric_plus, 1, state.form, state.config.n)
 
 
-def _averages(values, wedges, config):
-    return [average(values * wedge, config) for wedge in wedges]
+def weighted_sum(coeffs, averages):
+    """sum_k coeffs[k]/(n+1) averages[k], the mixed sums' weighting."""
+    np1 = len(averages)
+    return sum(coeffs[k] / np1 * averages[k] for k in range(np1))
 
 
-def _weighted(coeffs, mixed):
-    np1 = len(mixed)
-    return sum(coeffs[k] / np1 * mixed[k] for k in range(np1))
+class Energies:
+    """The energies of ``state``, whose nodal potential relative to ``ref`` is
+    ``values``. Construction derives the n + 1 wedges ref^k wedge state^(n-k)
+    (the ends are the two volume densities) and the ``mixed`` averages of the
+    midpoint-centered values against them. J (both forms), nu, E1 (weights
+    ``e1_coeffs``), the flow velocity's Dirichlet energy and the residual are
+    each computed once, when first read."""
 
+    def __init__(self, ref, state, values, e1_coeffs=None):
+        n = ref.config.n
+        self.ref, self.state, self.values = ref, state, values
+        self.e1_coeffs = e1_coefficients(n) if e1_coeffs is None else e1_coeffs
+        self.wedges = [state.density,
+                       *(wedge_density(ref.form, k, state.form, n) for k in range(1, n)),
+                       ref.state.density]
+        self.centered = values - values[values.shape[0] // 2]
+        self.log_rel = state.log_density - ref.state.log_density
+        self.mixed = [average(self.centered * wedge, ref.config) for wedge in self.wedges]
 
-# what the energies share at one state: its relative nodal values (also centred
-# at the midpoint), log volume ratio, wedges ref^k wedge state^(n-k), centred averages
-_Pieces = namedtuple("_Pieces", "state values centered log_rel wedges mixed")
+    @classmethod
+    def at(cls, ref, phi, e1_coeffs=None):
+        """The energies at the potential ``phi`` relative to ``ref``."""
+        values = _potential_values(phi, ref.grid)
+        return cls(ref, state_from_total(ref.config, ref.state.phi_total + values), values,
+                   e1_coeffs)
 
+    @cached_property
+    def uncentered(self):
+        """<phi, ref^k wedge state^(n-k)>, k = 0..n, for ``mixed_sum``."""
+        return [average(self.values * wedge, self.ref.config) for wedge in self.wedges]
 
-def _pieces(ref, state, values):
-    n = ref.config.n
-    # k = 0 and k = n are the two volume densities themselves
-    wedges = [state.density, *(wedge_density(ref.form, k, state.form, n) for k in range(1, n)),
-              ref.state.density]
-    centered = values - values[values.shape[0] // 2]
-    log_rel = state.log_density - ref.state.log_density
-    return _Pieces(state, values, centered, log_rel, wedges,
-                   _averages(centered, wedges, ref.config))
+    @cached_property
+    def j(self):
+        """J's gradient form, >= 0."""
+        ref = self.ref
+        n = ref.config.n
+        grad = d_ds(self.centered, ref.grid) ** 2
+        j_grad = 0.0
+        for k in range(n):
+            weight = (k + 1) / (n + 1)
+            density = grad * ref.form.b ** k * self.state.form.b ** (n - 1 - k)
+            j_grad += weight * average(density, ref.config)
+        return j_grad
+
+    @cached_property
+    def j_mixed(self):
+        """J's mixed form; the k = n average is against the reference volume."""
+        n = self.ref.config.n
+        return self.mixed[n] - sum(self.mixed) / (n + 1)
+
+    @cached_property
+    def nu(self):
+        ref = self.ref
+        entropy = average((self.log_rel - ref.potential.h) * self.state.density, ref.config)
+        return entropy + weighted_sum(k_energy_coefficients(ref.config.n), self.mixed) + ref.c0
+
+    @cached_property
+    def e1(self):
+        ref = self.ref
+        density = _entropy_density(self.state, ref.form)
+        entropy = average((self.log_rel - ref.potential.h) * density, ref.config)
+        return entropy + weighted_sum(self.e1_coeffs, self.mixed) + ref.c1
+
+    @cached_property
+    def dirichlet(self):
+        return dirichlet(self.state, self.log_rel + self.values - self.ref.potential.h)
+
+    @cached_property
+    def residual(self):
+        return self.e1 - 2.0 * self.nu - self.dirichlet
 
 
 def mixed_sum(ref, phi, coeffs):
@@ -184,60 +233,35 @@ def mixed_sum(ref, phi, coeffs):
     coeffs = np.asarray(coeffs, dtype=np.float64)
     if coeffs.shape != (ref.config.n + 1,):
         raise ValueError(f"need {ref.config.n + 1} coefficients, got shape {coeffs.shape}")
-    pieces = _pieces(ref, *_relative_state(ref, phi))
-    return _weighted(coeffs, _averages(pieces.values, pieces.wedges, ref.config))
-
-
-def _j_energy_from(ref, pieces):
-    n = ref.config.n
-    grad = d_ds(pieces.centered, ref.grid) ** 2
-    j_grad = 0.0
-    for k in range(n):
-        weight = (k + 1) / (n + 1)
-        density = grad * ref.form.b ** k * pieces.state.form.b ** (n - 1 - k)
-        j_grad += weight * average(density, ref.config)
-    # the k = n average is against the reference volume itself
-    j_mixed = pieces.mixed[n] - sum(pieces.mixed) / (n + 1)
-    return j_grad, j_mixed
+    return weighted_sum(coeffs, Energies.at(ref, phi).uncentered)
 
 
 def j_energy(ref, phi):
     """Generalized energy; checks that its two defining expressions agree to
-    1e-6 relative and returns the gradient form (which is >= 0)."""
-    j_grad, j_mixed = _j_energy_from(ref, _pieces(ref, *_relative_state(ref, phi)))
-    if abs(j_grad - j_mixed) > 1e-6 * (1.0 + abs(j_grad)):
+    ``J_FORMS_TOL`` relative and returns the gradient form (which is >= 0)."""
+    energies = Energies.at(ref, phi)
+    j_grad, j_mixed = energies.j, energies.j_mixed
+    if abs(j_grad - j_mixed) > J_FORMS_TOL * (1.0 + abs(j_grad)):
         raise ExpressionMismatch(f"gradient form {j_grad:.12e} and mixed form "
                                  f"{j_mixed:.12e} of the generalized energy disagree")
     return j_grad
 
 
-def _k_energy_from(ref, pieces):
-    entropy = average((pieces.log_rel - ref.potential.h) * pieces.state.density, ref.config)
-    return entropy + _weighted(k_energy_coefficients(ref.config.n), pieces.mixed) + ref.c0
-
-
 def k_energy(ref, phi):
     """K-energy in synthetic form: entropy-type term, weighted mixed sums,
     plus the reference constant."""
-    return _k_energy_from(ref, _pieces(ref, *_relative_state(ref, phi)))
-
-
-def _e1_energy_from(ref, pieces, coeffs=None):
-    if coeffs is None:
-        coeffs = e1_coefficients(ref.config.n)
-    density = _entropy_density(pieces.state, ref.form)
-    entropy = average((pieces.log_rel - ref.potential.h) * density, ref.config)
-    return entropy + _weighted(coeffs, pieces.mixed) + ref.c1
+    return Energies.at(ref, phi).nu
 
 
 def e1_energy(ref, phi, coeffs=None):
     """First Chen-Tian energy with its (n-1, n-1, -2, ...) mixed weights."""
-    return _e1_energy_from(ref, _pieces(ref, *_relative_state(ref, phi)), coeffs)
+    return Energies.at(ref, phi, coeffs).e1
 
 
 def flow_velocity(ref, phi):
     """Potential-flow velocity log(volume ratio) + phi - h."""
-    state, values = _relative_state(ref, phi)
+    values = _potential_values(phi, ref.grid)
+    state = state_from_total(ref.config, ref.state.phi_total + values)
     return state.log_density - ref.state.log_density + values - ref.potential.h
 
 
@@ -250,21 +274,12 @@ def dirichlet(state, v):
     return average(density, state.config)
 
 
-def _identity_terms(ref, pieces, e1_coeffs=None):
-    """(nu, E1, Dirichlet(velocity), E1 - 2 nu - Dirichlet) at one state."""
-    nu = _k_energy_from(ref, pieces)
-    e1 = _e1_energy_from(ref, pieces, e1_coeffs)
-    velocity = pieces.log_rel + pieces.values - ref.potential.h
-    dir_term = dirichlet(pieces.state, velocity)
-    return nu, e1, dir_term, e1 - 2.0 * nu - dir_term
-
-
 def identity_residual(ref, phi, e1_coeffs=None):
     """E1 - 2 K-energy - Dirichlet(velocity); independent of phi.
 
     Its common value is the reference constant relating the two energies.
     """
-    return _identity_terms(ref, _pieces(ref, *_relative_state(ref, phi)), e1_coeffs)[3]
+    return Energies.at(ref, phi, e1_coeffs).residual
 
 
 def c_omega_estimate(ref, e1_coeffs=None):
@@ -273,8 +288,7 @@ def c_omega_estimate(ref, e1_coeffs=None):
     Equal (within discretization error) to the residual at any other
     potential and at any flow time. Reads ``ref.state``; builds no state.
     """
-    zero = np.zeros_like(ref.state.phi_total)
-    return _identity_terms(ref, _pieces(ref, ref.state, zero), e1_coeffs)[3]
+    return Energies(ref, ref.state, np.zeros_like(ref.state.phi_total), e1_coeffs).residual
 
 
 def futaki_of_state(state):
@@ -292,8 +306,6 @@ def futaki_of_state(state):
 def evaluate(ref, phi, e1_coeffs=None):
     """All functionals at one potential, sharing a single state build and
     one set of mixed averages. J's two forms are reported, not judged."""
-    pieces = _pieces(ref, *_relative_state(ref, phi))
-    j_grad, j_mixed = _j_energy_from(ref, pieces)
-    nu, e1, dir_term, residual = _identity_terms(ref, pieces, e1_coeffs)
-    return FunctionalReport(j=j_grad, j_mixed=j_mixed, nu=nu, e1=e1, dirichlet=dir_term,
-                            residual=residual, c0=ref.c0, c1=ref.c1)
+    e = Energies.at(ref, phi, e1_coeffs)
+    return FunctionalReport(j=e.j, j_mixed=e.j_mixed, nu=e.nu, e1=e.e1, dirichlet=e.dirichlet,
+                            residual=e.residual, c0=ref.c0, c1=ref.c1)

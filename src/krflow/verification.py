@@ -14,13 +14,8 @@ from .errors import ConfigError
 from .calculus import build_grid, d_ds
 from .flow import FlowConfig, run
 from .functionals import (
-    _averages,
-    _e1_energy_from,
-    _j_energy_from,
-    _k_energy_from,
-    _pieces,
-    _relative_state,
-    _weighted,
+    J_FORMS_TOL,
+    Energies,
     c_omega_estimate,
     e1_coefficients,
     evaluate,
@@ -28,6 +23,7 @@ from .functionals import (
     futaki_of_state,
     identity_residual,
     make_reference,
+    weighted_sum,
 )
 from .geometry import (
     DEFAULT_COEFF_BOUND,
@@ -39,6 +35,7 @@ from .geometry import (
     make_state,
     sample_admissible,
     scalar_curvature,
+    state_from,
     wedge_density,
 )
 
@@ -62,14 +59,12 @@ class VariationalCheck:
 
 
 def _variations(ref, phi, e1_coeffs):
-    """The four identities' functionals at ``phi``, in ``IDENTITIES`` order,
-    from one ``_pieces``: nu and E1 read it, and the J-type mixed sums weight
-    the uncentred averages against its wedges (as ``mixed_sum`` does)."""
+    """The four identities' functionals at ``phi``, in ``IDENTITIES`` order:
+    one ``Energies``' nu, E1 and J-type mixed sums of its uncentered averages."""
     n = ref.config.n
-    pieces = _pieces(ref, *_relative_state(ref, phi))
-    mixed = _averages(pieces.values, pieces.wedges, ref.config)
-    return (_weighted(np.full(n + 1, float(n + 1)), mixed), _k_energy_from(ref, pieces),
-            _weighted(e1_coefficients(n), mixed), _e1_energy_from(ref, pieces, e1_coeffs))
+    energies = Energies.at(ref, phi, e1_coeffs)
+    return (weighted_sum(np.full(n + 1, float(n + 1)), energies.uncentered), energies.nu,
+            weighted_sum(e1_coefficients(n), energies.uncentered), energies.e1)
 
 
 def _identity_rhs(ref, state, xi):
@@ -94,13 +89,13 @@ def variational_check(ref, phi, direction, dt=1e-4, e1_coeffs=None):
     ``direction`` against their analytic derivatives at ``phi``.
 
     Returns ``{identity: VariationalCheck}`` in ``IDENTITIES`` order. One
-    state and its one ``_pieces`` at each of phi +- dt * direction serve all
+    state and its ``Energies`` at each of phi +- dt * direction serve all
     four differences (E1 with ``e1_coeffs``), and one state at phi all four
     right-hand sides.
     """
     plus = _variations(ref, phi + direction.scaled(dt), e1_coeffs)
     minus = _variations(ref, phi + direction.scaled(-dt), e1_coeffs)
-    rhs = _identity_rhs(ref, _relative_state(ref, phi)[0], direction.values(ref.grid))
+    rhs = _identity_rhs(ref, state_from(ref.state, phi), direction.values(ref.grid))
     return {identity: VariationalCheck(identity=identity, lhs=(p - m) / (2.0 * dt), rhs=r, dt=dt)
             for identity, p, m, r in zip(IDENTITIES, plus, minus, rhs)}
 
@@ -108,13 +103,11 @@ def variational_check(ref, phi, direction, dt=1e-4, e1_coeffs=None):
 COCYCLES = ("nu", "e1", "mixed_energy")
 
 
-def _cocycle_values(ref, state, values):
-    """nu, E1 (default weights) and the uncentred mixed energy at one state,
-    all from one ``_pieces`` and its wedges."""
-    pieces = _pieces(ref, state, values)
-    mixed = _averages(values, pieces.wedges, ref.config)
-    return (_k_energy_from(ref, pieces), _e1_energy_from(ref, pieces),
-            _weighted(np.ones(ref.config.n + 1), mixed))
+def _cocycle_values(energies):
+    """The ``COCYCLES`` of one ``Energies``: nu, E1 (default weights) and the
+    mixed energy, the all-ones sum of its uncentered averages."""
+    return (energies.nu, energies.e1,
+            weighted_sum(np.ones(energies.ref.config.n + 1), energies.uncentered))
 
 
 def cocycle_check(ref, phi1, phi2):
@@ -135,11 +128,11 @@ def cocycle_check(ref, phi1, phi2):
     with ref1 = re_reference(ref, phi1). It is generically of order one
     (eps^2/12 for the pair (eps x, 2 eps x) at n = 1).
     """
-    state1, values1 = _relative_state(ref, phi1)
-    ref1 = make_reference(state1)
-    totals = _cocycle_values(ref, *_relative_state(ref, phi2))
-    firsts = _cocycle_values(ref, state1, values1)
-    seconds = _cocycle_values(ref1, *_relative_state(ref1, phi2 - phi1))
+    at_phi1 = Energies.at(ref, phi1)
+    firsts = _cocycle_values(at_phi1)
+    ref1 = make_reference(at_phi1.state)
+    totals = _cocycle_values(Energies.at(ref, phi2))
+    seconds = _cocycle_values(Energies.at(ref1, phi2 - phi1))
     return {name: abs(total - first - second)
             / (1.0 + max(abs(total), abs(first), abs(second)))
             for name, total, first, second in zip(COCYCLES, totals, firsts, seconds)}
@@ -176,7 +169,7 @@ class SuiteReport:
 
 
 DEFAULT_TOLERANCES = {
-    "j_expressions_agree": 1e-6,
+    "j_expressions_agree": J_FORMS_TOL,
     "j_nonneg": 1e-12,
     "shift_invariance": 1e-8,
     "der_jfunc": 1e-5,
@@ -282,11 +275,10 @@ def run_suite(config):
         add("cocycle_" + name, max(d[name] for d in defects))
     diag = 0.0
     for ref in (bent_ref, fs_ref):
-        pieces = _pieces(ref, ref.state, np.zeros_like(ref.state.phi_total))
-        values = (_j_energy_from(ref, pieces)[0], _k_energy_from(ref, pieces),
-                  _e1_energy_from(ref, pieces),
-                  _weighted(np.ones(n + 1), pieces.mixed))  # the mixed energy
-        diag = max(diag, *(abs(v) for v in values))
+        own = Energies(ref, ref.state, np.zeros_like(ref.state.phi_total))
+        # at the zero potential the centered averages are the uncentered ones
+        mixed_energy = weighted_sum(np.ones(n + 1), own.mixed)
+        diag = max(diag, abs(own.j), abs(own.nu), abs(own.e1), abs(mixed_energy))
     add("diagonal_vanishing", diag)
 
     # Ricci potential defining conditions

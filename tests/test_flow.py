@@ -23,7 +23,6 @@ from krflow.flow import (
     _shift_profile,
     _stable_dt,
     c_omega_estimate,
-    default_dt_init,
     run,
     step,
 )
@@ -73,11 +72,6 @@ def test_flow_config_validates_step_control(small_config):
                record_every=1)
     assert [f.name for f in dataclasses.fields(FlowConfig)] == [
         "manifold", "initial", "t_max", "dt_init", "record_every", "reference"]
-
-
-def test_default_dt_init():
-    assert default_dt_init(build_grid(2048)) == pytest.approx(1e-4)
-    assert default_dt_init(build_grid(1024)) == pytest.approx(4e-4)
 
 
 def test_fixed_point_is_stationary(small_config):
@@ -531,7 +525,7 @@ def test_ros2_is_stable_on_jacobian(n, size):
         growing = eig.real > 0.0
         assert 1 <= growing.sum() <= 3 and eig.real.max() < 1.0 + 1e-6
         state = state_from_total(config, total)
-        dt0 = min(default_dt_init(config.grid), _stable_dt(config, state.r, state.q))
+        dt0 = _stable_dt(config, state.r, state.q)
         accurate = np.geomspace(dt0, 1000.0 * dt0, 13)
         for dt in np.concatenate((accurate, np.geomspace(10.0, 1e4, 4))):
             z = dt * eig

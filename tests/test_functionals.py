@@ -1,20 +1,22 @@
+import ast
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from krflow import functionals, geometry
-from krflow.calculus import build_grid, d_ds
+from krflow import flow, functionals, geometry
+from krflow.calculus import build_grid, d_ds, integrate_ds
 from krflow.errors import ExpressionMismatch, NotInPotentialSpace
 from krflow.functionals import (
-    _j_energy_from,
-    _pieces,
-    _relative_state,
+    Energies,
+    c_omega_estimate,
     dirichlet,
     e1_coefficients,
     e1_energy,
     evaluate,
     flow_velocity,
+    fubini_study_reference,
     futaki_of_state,
     identity_residual,
     j_energy,
@@ -120,8 +122,8 @@ def test_j_energy_mismatch_raises(rng):
     phi = sample_admissible(cfg, rng, 1)[0]
     report = evaluate(ref, phi)
     assert abs(report.j - report.j_mixed) > 1e-6 * (1.0 + abs(report.j))
-    assert (report.j, report.j_mixed) == _j_energy_from(
-        ref, _pieces(ref, *_relative_state(ref, phi)))
+    energies = Energies.at(ref, phi)
+    assert (report.j, report.j_mixed) == (energies.j, energies.j_mixed)
     with pytest.raises(ExpressionMismatch):
         j_energy(ref, phi)
 
@@ -155,7 +157,8 @@ def test_k_energy_synthetic_matches_direct_display(fs_ref2, rng):
     cfg = fs_ref2.config
     n = cfg.n
     for phi in sample_admissible(cfg, rng, 3):
-        state, values = _relative_state(fs_ref2, phi)
+        values = phi.values(cfg.grid)
+        state = make_state(cfg, fs_ref2.state.phi_total + values)
         density = wedge_density(state.form, n, state.form, n)
         log_rel = state.log_density - fs_ref2.state.log_density
         entropy = average((log_rel + values - fs_ref2.potential.h) * density, cfg)
@@ -358,34 +361,90 @@ def test_evaluate_report(rng, monkeypatch):
     # at n = 1, 2, 3 and both references, evaluate shares one state build
     # and one set of mixed averages among J, nu, E1 and the residual, and
     # gives each the same bits as the function that computes it alone
-    calls = []
+    calls, quadratures = [], []
 
     def counted(*args):
         calls.append(args)
         return wedge_density(*args)
+
+    def integrated(*args):
+        quadratures.append(args)
+        return integrate_ds(*args)
+
+    def tally(func):
+        calls.clear()
+        quadratures.clear()
+        return func(), len(calls), len(quadratures)
 
     for n in (1, 2, 3):
         cfg = ManifoldConfig(n=n, grid=build_grid(512))
         for ref in (make_reference(make_state(cfg, ZERO)),
                     make_reference(make_state(cfg, RadialPotential((0.0, 0.2, 0.1))))):
             phi = sample_admissible(cfg, rng, 1, base=ref.state)[0]
-            calls.clear()
+            state = make_state(cfg, ref.state.phi_total + phi.values(cfg.grid))
             with monkeypatch.context() as patch:
-                patch.setattr(geometry, "wedge_density", counted)
-                patch.setattr(functionals, "wedge_density", counted)
-                report = evaluate(ref, phi)
-            # the state build's volume density, the n - 1 inner wedges and
-            # E1's entropy density; the outer two wedges are the state's and
-            # the reference's volume densities
-            assert len(calls) == n + 1, (n, len(calls))
+                for module in (geometry, functionals):
+                    patch.setattr(module, "wedge_density", counted)
+                    patch.setattr(module, "integrate_ds", integrated)
+                report, wedges, averages = tally(lambda: evaluate(ref, phi))
+                at_ref = tally(lambda: c_omega_estimate(ref))[1:]
+                at_record = tally(lambda: flow._record(ref, state, 0.0))[1:]
+            # each quantity is taken once. Wedges: the state build's volume
+            # density, the n - 1 inner wedges and E1's entropy density; the
+            # outer two wedges are the state's and the reference's volume
+            # densities. Averages: the n + 1 mixed ones, n for J's gradient
+            # form and one each for nu, E1 and the Dirichlet term. The
+            # reference's own state and a flow record's state are built
+            # already, and neither reads J; a record adds the Futaki invariant
+            assert (wedges, averages) == (n + 1, 2 * n + 4), n
+            assert at_ref == (n, n + 4) and at_record == (n, n + 5), n
             assert report.j == j_energy(ref, phi)
             assert report.nu == k_energy(ref, phi)
             assert report.e1 == e1_energy(ref, phi)
             assert report.residual == identity_residual(ref, phi)
-            state = make_state(cfg, ref.state.phi_total + phi.values(cfg.grid))
             assert report.dirichlet == dirichlet(state, flow_velocity(ref, phi))
             assert report.j >= 0.0
             assert report.dirichlet >= 0.0
             assert report.residual == pytest.approx(
                 report.e1 - 2.0 * report.nu - report.dirichlet, abs=1e-15)
             assert report.c0 == ref.c0 and report.c1 == ref.c1
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_fubini_study_orbit_oracle(n):
+    # the maps z -> mu z carry Fubini-Study to Kahler-Einstein metrics whose
+    # potentials are phi = (n+1) log(1 + (lam - 1) x), lam = |mu|^2. There
+    # nu, E1, Dirichlet(velocity) and the residual vanish and J's two forms
+    # agree exactly, while J grows with |log lam| (Bando & Mabuchi 1987):
+    # the exact values are the oracle
+    reports = {}
+    for size, lams in ((512, (10.0,)), (1024, (0.5, 2.0, 10.0))):
+        ref = fubini_study_reference(ManifoldConfig(n=n, grid=build_grid(size)))
+        for lam in lams:
+            reports[size, lam] = evaluate(ref, (n + 1) * np.log1p((lam - 1.0) * ref.grid.x))
+    for lam in (0.5, 2.0):
+        r = reports[1024, lam]
+        assert max(abs(r.nu), abs(r.e1), abs(r.residual), abs(r.j - r.j_mixed)) <= 1e-10, lam
+        assert r.dirichlet <= 1e-15, lam
+    # at lam = 10 the potential bends on a scale of 1/lam near x = 0: the
+    # stencils' error is larger there, and falls at about fourth order
+    for name in ("nu", "e1", "residual"):
+        fine = abs(getattr(reports[1024, 10.0], name))
+        assert fine <= 2e-7 and abs(getattr(reports[512, 10.0], name)) >= 6.0 * fine, name
+    assert reports[1024, 10.0].j > reports[1024, 2.0].j > 0.0
+
+
+def test_energy_weighting_stays_in_functionals():
+    # which averages each energy weights, and with which coefficients, is
+    # decided in functionals alone: the flow and the suite read its public
+    # names and no private one
+    package = Path(functionals.__file__).parent
+    for module in ("flow.py", "verification.py"):
+        tree = ast.parse((package / module).read_text())
+        private = [alias.name for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom) and node.module == "functionals"
+                   for alias in node.names if alias.name.startswith("_")]
+        private += [node.attr for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                    and isinstance(node.value, ast.Name) and node.value.id == "functionals"]
+        assert not private, (module, private)

@@ -121,33 +121,47 @@ def test_cocycle_check_bits_match_each_functional(n, rng):
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_checks_wedge_counts(n, rng, monkeypatch):
-    # each state's n + 1 wedges come from its one _pieces, whose two ends are
+    # each state's n + 1 wedges come from its one Energies, whose two ends are
     # the state's and the reference's volume densities: a state costs its
-    # build's density, the n - 1 inner wedges and E1's entropy density
-    calls = []
-    real = geometry.wedge_density
+    # build's density, the n - 1 inner wedges and E1's entropy density. It
+    # takes each average once: the n + 1 centered and n + 1 uncentered mixed
+    # averages and one each for nu's and E1's entropy terms
+    calls, averages = [], []
+    real, real_integrate = geometry.wedge_density, geometry.integrate_ds
 
     def counted(*args):
         calls.append(args)
         return real(*args)
 
+    def integrated(*args):
+        averages.append(args)
+        return real_integrate(*args)
+
     for module in (geometry, functionals, verification):
         monkeypatch.setattr(module, "wedge_density", counted)
+    for module in (geometry, functionals):
+        monkeypatch.setattr(module, "integrate_ds", integrated)
     cfg = ManifoldConfig(n=n, grid=build_grid(128))
     ref = fubini_study_reference(cfg)
     base, other = sample_admissible(cfg, rng, 2)
     calls.clear()
+    averages.clear()
     variational_check(ref, base, RadialPotential(rng.uniform(-0.3, 0.3, 9)))
     # two varied states, then the state at phi and its right-hand sides'
-    # wedges (Ric wedge state^(n-1); at n > 1 also ref^2 and Ric^2)
+    # wedges (Ric wedge state^(n-1); at n > 1 also ref^2 and Ric^2) and
+    # averages (3; at n > 1 also J1's and E1's second term)
     assert len(calls) == 2 * (n + 1) + 2 + (2 if n > 1 else 0)
+    assert len(averages) == 2 * (2 * n + 4) + 3 + (2 if n > 1 else 0)
     calls.clear()
+    averages.clear()
     cocycle_check(ref, base, other)
     # three states (the reference promoted from the first one shares its
     # build) and that reference's c1 density; no wedge against ``ref`` is
-    # computed at k = 0 or k = n
+    # computed at k = 0 or k = n. The reference adds two quadratures for its
+    # Ricci potential's constant and one each for c0 and c1
     assert len(calls) == 3 * (n + 1) + 1
     assert {args[1] for args in calls if args[0] is ref.form} == set(range(1, n))
+    assert len(averages) == 3 * (2 * n + 4) + 4
 
 
 def test_cocycle_trivial_cases(fs_ref1, rng):
