@@ -106,8 +106,10 @@ def rk4_step(phi, dt, shift, grid, n):
     """One classical Runge-Kutta step of dphi/dt = velocity(phi).
 
     Returns ``(phi_new, ok)``; ok is False when any stage leaves the
-    positive cone, in which case phi_new is None. The flow itself steps with
-    ROS2 (``flow.step``); this step is the tests' reference integrator.
+    positive cone, in which case phi_new is None. The flow steps with ROS2
+    and its tests check it against Radau IIA; this step stays only for one
+    clause of ``test_step_rejects_large_dt`` and the benchmark's trace list,
+    until ROADMAP items 1 and 11 retire it.
     """
     k1, _ = velocity(phi, shift, grid, n)
     if k1 is None:

@@ -22,11 +22,11 @@ derived besides, inside the velocity kernel.
 
 Records fall on a time grid: record k sits at t = k * record_every * dt0,
 where dt0 is ``_stable_dt`` at the initial state, or ``dt_init`` when that
-is smaller. Steps are cut to land on record times and on t_max. A step that
-leaves the positive cone is rejected and retried from the same start at half
-the size, until dt falls below 1e-14 and the run aborts; after every
-_GROW_STREAK accepted steps the size grows by 1 / _DT_SAFETY again, up to the
-record spacing.
+is smaller; the last record sits at t_max. ``run`` crosses one record
+interval at a time, starting with one step of the interval's full length. A
+rejected step is retried from the same start at half the size, until dt
+falls below 1e-14 and the run aborts. The halved size holds until the
+interval's record time, on which the last step is cut to land.
 
 Potentials would drift by an exponentially growing constant along the flow
 (the +phi term integrates the spatially constant mode). Every recorded
@@ -69,10 +69,6 @@ TRACE_COLUMNS = ("t", "nu", "e1", "dirichlet", "residual",
 # 6.9e-3 x^3, nu's decrease to t = 0.055 in steps of 0.01 is off by 1.9e-3 of
 # itself with the larger root and by 6.7e-5 with this one
 _GAMMA = 1.0 - 1.0 / np.sqrt(2.0)
-# step growth after rejections: 1 / _DT_SAFETY per _GROW_STREAK accepted
-# steps (ROADMAP item 3's error controller replaces both)
-_DT_SAFETY = 0.9
-_GROW_STREAK = 16
 
 
 @dataclass
@@ -85,7 +81,8 @@ class FlowConfig:
     fall at t = k * ``record_every`` * dt0 (plus the initial and final
     states), the spacing at which a classical explicit method at the
     stability cap would record every ``record_every`` steps. Steps run at
-    the record spacing unless a rejection has shortened them.
+    the record spacing; a rejection shortens them only until the end of its
+    record interval.
     """
 
     manifold: ManifoldConfig
@@ -96,8 +93,8 @@ class FlowConfig:
     reference: object | None = None
 
     def __post_init__(self):
-        if not self.t_max > 0.0:
-            raise ConfigError(f"t_max must be positive, got {self.t_max}")
+        if not 0.0 < self.t_max < np.inf:
+            raise ConfigError(f"t_max must be positive and finite, got {self.t_max}")
         if self.dt_init is not None and not self.dt_init > 0.0:
             raise ConfigError(f"dt_init must be positive, got {self.dt_init}")
         if self.record_every < 1:
@@ -291,7 +288,8 @@ def _record(ref, state, t):
 
 def run(config):
     """Integrate to t_max, recording functionals on the record grid
-    t = k * record_every * dt0 (plus the initial and final states)."""
+    t = k * record_every * dt0 (plus the initial and final states), one
+    record interval at a time."""
     manifold = config.manifold
     g = manifold.grid
     if config.reference is None:
@@ -310,39 +308,28 @@ def run(config):
     if config.dt_init is not None:
         dt0 = min(config.dt_init, dt0)
     spacing = config.record_every * dt0
-    dt = spacing
-    t = 0.0
-    k = 1  # index of the next record time
-    streak = 0
     t_end = config.t_max * (1.0 - 1e-12)
+    t = 0.0
+    k = 0  # index of the record time the interval ends on
     while t < t_end:
-        t_next = k * spacing
-        if t_next >= t_end:
-            t_next = config.t_max
-        remaining = t_next - t
-        # land on the record time instead of leaving a roundoff-sized sliver
-        dt_step = remaining if remaining <= dt * (1.0 + 1e-9) else dt
-        try:
-            rel, start = step(ref, rel, dt_step, trace=trace, start=start)
-        except StepRejected as exc:
-            trace.rejections.append((t, dt_step, exc.min_ahat, exc.min_bhat))
-            dt = 0.5 * dt_step
-            streak = 0
-            if dt < 1e-14:
-                raise FlowAborted(f"dt underflow at t = {t:.6g} (dt = {dt:.3g})", trace=trace)
-            continue
-        landed = dt_step >= remaining
-        if landed:  # the last step lands on t_max
-            state = state_from_total(manifold, base + rel, _profiles=start)
-        t = t_next if landed else t + dt_step
-        trace.accepted += 1
-        streak += 1
-        if streak >= _GROW_STREAK:
-            streak = 0
-            dt = min(dt / _DT_SAFETY, spacing)
-        if landed and t < config.t_max:
-            trace.records.append(_record(ref, state, t))
-            k += 1
-    if trace.records[-1].t < t:
+        k += 1
+        t_next = k * spacing if k * spacing < t_end else config.t_max
+        dt = t_next - t
+        while t < t_next:
+            remaining = t_next - t
+            # land on the record time instead of leaving a roundoff-sized sliver
+            if remaining <= dt * (1.0 + 1e-9):
+                dt = remaining
+            try:
+                rel, start = step(ref, rel, dt, trace=trace, start=start)
+            except StepRejected as exc:
+                trace.rejections.append((t, dt, exc.min_ahat, exc.min_bhat))
+                dt *= 0.5
+                if dt < 1e-14:
+                    raise FlowAborted(f"dt underflow at t = {t:.6g} (dt = {dt:.3g})", trace=trace)
+                continue
+            trace.accepted += 1
+            t = t_next if dt == remaining else t + dt
+        state = state_from_total(manifold, base + rel, _profiles=start)
         trace.records.append(_record(ref, state, t))
     return trace

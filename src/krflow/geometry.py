@@ -74,7 +74,8 @@ class RadialForm:
 
 
 class RadialPotential:
-    """Polynomial potential in x, coefficients low to high degree.
+    """Polynomial potential in x of degree at most ``DEFAULT_DEGREE``,
+    coefficients low to high degree.
 
     Node evaluation is exact polynomial evaluation (no interpolation error);
     results are cached per grid size.
@@ -82,12 +83,12 @@ class RadialPotential:
 
     __slots__ = ("coeffs", "_cache")
 
-    def __init__(self, coeffs, max_degree=DEFAULT_DEGREE):
+    def __init__(self, coeffs):
         c = tuple(float(v) for v in coeffs)
         if not c:
             c = (0.0,)
-        if len(c) > max_degree + 1:
-            raise ConfigError(f"potential degree {len(c) - 1} exceeds maximum {max_degree}")
+        if len(c) > DEFAULT_DEGREE + 1:
+            raise ConfigError(f"potential degree {len(c) - 1} exceeds maximum {DEFAULT_DEGREE}")
         if not all(np.isfinite(c)):
             raise ConfigError("potential coefficients must be finite")
         object.__setattr__(self, "coeffs", c)
@@ -111,14 +112,13 @@ class RadialPotential:
         out = list(a)
         for i, v in enumerate(b):
             out[i] += v
-        return RadialPotential(out, max_degree=max(len(a) - 1, DEFAULT_DEGREE))
+        return RadialPotential(out)
 
     def __sub__(self, other):
         return self + other.scaled(-1.0)
 
     def scaled(self, t):
-        return RadialPotential([t * v for v in self.coeffs],
-                               max_degree=max(len(self.coeffs) - 1, DEFAULT_DEGREE))
+        return RadialPotential([t * v for v in self.coeffs])
 
     def __repr__(self):
         return f"RadialPotential({list(self.coeffs)})"

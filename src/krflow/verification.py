@@ -217,6 +217,10 @@ class SuiteConfig:
             raise ConfigError(f"samples must be at least 6, got {self.samples}")
         if self.fd_pairs < 1:
             raise ConfigError(f"fd_pairs must be at least 1, got {self.fd_pairs}")
+        for name in ("fd_dt", "flow_t_max"):
+            value = getattr(self, name)
+            if not 0.0 < value < np.inf:
+                raise ConfigError(f"{name} must be positive and finite, got {value}")
 
     def tolerance(self, name):
         return float(self.tolerances.get(name, DEFAULT_TOLERANCES[name]))

@@ -108,6 +108,20 @@ def test_verify_rejects_too_few_samples_or_pairs(tmp_path, capsys, key, value):
     assert captured.err.startswith("configuration error: ") and key in captured.err
 
 
+@pytest.mark.parametrize("key, value", [("fd_dt", "0"), ("fd_dt", "-1e-4"), ("fd_dt", "nan"),
+                                        ("fd_dt", "inf"), ("flow_t_max", "inf"),
+                                        ("flow_t_max", "nan")])
+def test_verify_rejects_unusable_fd_step_or_flow_horizon(tmp_path, capsys, key, value):
+    # a zero finite-difference step would print NaN entries, and an infinite
+    # flow horizon would run the suite's flow until it diverges
+    config = _write(tmp_path, "bad.ini",
+                    f"[run]\nn = 1\ngrid_size = 128\n\n[suite]\n{key} = {value}\n")
+    assert main(["verify", "--config", config]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"configuration error: {key} must be positive and finite")
+
+
 def test_verify_mutation_config_fails(tmp_path, capsys):
     config = _write(tmp_path, "mutated.ini",
                     VERIFY_FAST + "\n[mutation]\nb1_offset = 0.1\n")
@@ -153,6 +167,15 @@ def test_flow_removed_keys_are_unknown(tmp_path, capsys, entry):
     config = _write(tmp_path, "flow.ini", FLOW_SMALL + entry + "\n")
     assert main(["flow", "--config", config, "--out", str(tmp_path / "trace.csv")]) == 2
     assert "unknown key" in capsys.readouterr().err
+    assert not (tmp_path / "trace.csv").exists()
+
+
+@pytest.mark.parametrize("value", ("inf", "nan", "0"))
+def test_flow_rejects_unusable_horizon(tmp_path, capsys, value):
+    config = _write(tmp_path, "flow.ini", FLOW_SMALL.replace("t_max = 0.5", f"t_max = {value}"))
+    assert main(["flow", "--config", config, "--out", str(tmp_path / "trace.csv")]) == 2
+    assert capsys.readouterr().err.startswith(
+        "configuration error: t_max must be positive and finite")
     assert not (tmp_path / "trace.csv").exists()
 
 

@@ -68,7 +68,7 @@ def test_make_state_rejects_steep_potential(config1):
 
 def test_potential_degree_cap():
     with pytest.raises(ConfigError):
-        RadialPotential(np.zeros(12), max_degree=8)
+        RadialPotential(np.zeros(12))
 
 
 def test_wedge_density_full_power(config2, rng):
