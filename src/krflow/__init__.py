@@ -13,21 +13,16 @@ from .errors import (
 )
 from .flow import FlowConfig, FlowTrace, run, step
 from .functionals import (
+    Energies,
     FunctionalReport,
     Reference,
-    RicciPotential,
     c_omega_estimate,
     dirichlet,
-    e1_energy,
     evaluate,
-    flow_velocity,
     fubini_study_reference,
     futaki_of_state,
-    identity_residual,
     j_energy,
-    k_energy,
     make_reference,
-    mixed_sum,
     re_reference,
     ricci_potential,
 )
@@ -58,16 +53,15 @@ __version__ = "0.1.0"
 kernel_backend = "python"
 
 __all__ = [
-    "ConfigError", "DivergentIntegrand", "ExpressionMismatch", "FlowAborted",
-    "FlowConfig", "FlowTrace", "FunctionalReport", "Grid", "KrflowError",
-    "ManifoldConfig", "MetricState", "NotInPotentialSpace", "RadialForm",
-    "RadialPotential", "Reference", "RicciPotential", "StepRejected",
+    "ConfigError", "DivergentIntegrand", "Energies", "ExpressionMismatch",
+    "FlowAborted", "FlowConfig", "FlowTrace", "FunctionalReport", "Grid",
+    "KrflowError", "ManifoldConfig", "MetricState", "NotInPotentialSpace",
+    "RadialForm", "RadialPotential", "Reference", "StepRejected",
     "SuiteConfig", "SuiteReport", "VariationalCheck", "average", "background",
     "build_grid", "c_omega_estimate", "cocycle_check", "d_dx", "d_ds",
-    "dirichlet", "e1_energy", "evaluate", "flow_velocity",
-    "fubini_study_reference", "futaki_of_state", "identity_residual",
-    "integrate_ds", "j_energy", "k_energy", "kernel_backend", "laplacian",
-    "make_reference", "make_state", "mixed_sum", "re_reference",
-    "ricci_potential", "run", "run_suite", "sample_admissible",
-    "scalar_curvature", "step", "variational_check", "wedge_density",
+    "dirichlet", "evaluate", "fubini_study_reference", "futaki_of_state",
+    "integrate_ds", "j_energy", "kernel_backend", "laplacian",
+    "make_reference", "make_state", "re_reference", "ricci_potential", "run",
+    "run_suite", "sample_admissible", "scalar_curvature", "step",
+    "variational_check", "wedge_density",
 ]

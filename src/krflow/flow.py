@@ -125,7 +125,8 @@ class FlowTrace:
     counts, the velocity evaluations (f0 and the stage's per attempted step;
     f0 only when the step matrix is singular), the factorizations of the
     step matrix, and one ``(t, dt, min_ahat, min_bhat)`` entry per rejected
-    step (the mins are None when the rejection did not report them)."""
+    step (the mins are None when the rejection did not report them). The
+    records follow the flow's dissipation law dnu/dt = -n * dirichlet."""
 
     records: list = field(default_factory=list)
     c_omega: float = 0.0
@@ -205,7 +206,7 @@ def _ros2(f, solve, y0, f0, dt):
 
 
 def _shift_profile(ref):
-    return ref.state.log_density + ref.state.phi_total + ref.potential.h
+    return ref.state.log_density + ref.state.phi_total + ref.h
 
 
 def step(ref, phi, dt, trace=None, start=None):

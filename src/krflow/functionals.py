@@ -11,8 +11,8 @@ implementations subtract the potential's midpoint value before forming
 products with volume densities, which makes that invariance exact in
 floating point as well (potentials drift by large constants along the flow;
 a fixed-node gauge keeps that drift out of the quadratures without masking
-deliberately corrupted coefficient systems). ``mixed_sum`` is the uncentered
-primitive and feels constants.
+deliberately corrupted coefficient systems). ``Energies.uncentered`` holds
+the uncentered averages, which feel constants.
 
 J, nu and E1 weight the same n + 1 mixed averages <phi, ref^k wedge
 perturbed^(n-k)>. ``Energies`` derives them once per state, and each energy
@@ -58,21 +58,11 @@ def e1_coefficients(n):
 
 
 @dataclass(frozen=True, eq=False)
-class RicciPotential:
-    """Solution h of i ddbar h = Ric - metric, normalized so that the
-    average of e^h - 1 against the metric volume vanishes; ``c`` is the
-    additive constant that enforced the normalization."""
-
-    h: np.ndarray
-    c: float
-
-
-@dataclass(frozen=True, eq=False)
 class Reference:
-    """A metric state promoted to reference role, with cached quantities."""
+    """A metric state promoted to reference role, with its Ricci potential h."""
 
     state: "MetricState"
-    potential: RicciPotential
+    h: np.ndarray
     c0: float
     c1: float
 
@@ -104,7 +94,7 @@ class FunctionalReport:
 
 
 def ricci_potential(state, normalization_offset=0.0):
-    """Ricci potential of ``state``'s metric.
+    """Ricci potential h of ``state``'s metric, with e^h - 1 averaging to 0.
 
     dh/dx = (B_ric - B)/(x(1-x)) is integrated from the midpoint outward;
     the additive constant comes in closed form from the two quadratures that
@@ -122,16 +112,15 @@ def ricci_potential(state, normalization_offset=0.0):
     h_raw -= h_raw[g.size // 2]
     total = integrate_ds(state.density, g)
     weighted = integrate_ds(np.exp(h_raw) * state.density, g)
-    c = math.log(total / weighted) + normalization_offset
-    return RicciPotential(h=h_raw + c, c=c)
+    return h_raw + (math.log(total / weighted) + normalization_offset)
 
 
 def make_reference(state, normalization_offset=0.0):
     """Promote a state to reference role (computes h and the constants)."""
-    potential = ricci_potential(state, normalization_offset=normalization_offset)
-    c0 = average(potential.h * state.density, state.config)
-    c1 = average(potential.h * _entropy_density(state, state.form), state.config)
-    return Reference(state=state, potential=potential, c0=c0, c1=c1)
+    h = ricci_potential(state, normalization_offset=normalization_offset)
+    c0 = average(h * state.density, state.config)
+    c1 = average(h * _entropy_density(state, state.form), state.config)
+    return Reference(state=state, h=h, c0=c0, c1=c1)
 
 
 def fubini_study_reference(config):
@@ -161,8 +150,8 @@ class Energies:
     ``values``. Construction derives the n + 1 wedges ref^k wedge state^(n-k)
     (the ends are the two volume densities) and the ``mixed`` averages of the
     midpoint-centered values against them. J (both forms), nu, E1 (weights
-    ``e1_coeffs``), the flow velocity's Dirichlet energy and the residual are
-    each computed once, when first read."""
+    ``e1_coeffs``), the flow velocity, its Dirichlet energy and the residual
+    are each computed once, when first read."""
 
     def __init__(self, ref, state, values, e1_coeffs=None):
         n = ref.config.n
@@ -184,7 +173,7 @@ class Energies:
 
     @cached_property
     def uncentered(self):
-        """<phi, ref^k wedge state^(n-k)>, k = 0..n, for ``mixed_sum``."""
+        """<phi, ref^k wedge state^(n-k)>, k = 0..n, uncentered."""
         return [average(self.values * wedge, self.ref.config) for wedge in self.wedges]
 
     @cached_property
@@ -209,31 +198,30 @@ class Energies:
     @cached_property
     def nu(self):
         ref = self.ref
-        entropy = average((self.log_rel - ref.potential.h) * self.state.density, ref.config)
+        entropy = average((self.log_rel - ref.h) * self.state.density, ref.config)
         return entropy + weighted_sum(k_energy_coefficients(ref.config.n), self.mixed) + ref.c0
 
     @cached_property
     def e1(self):
         ref = self.ref
         density = _entropy_density(self.state, ref.form)
-        entropy = average((self.log_rel - ref.potential.h) * density, ref.config)
+        entropy = average((self.log_rel - ref.h) * density, ref.config)
         return entropy + weighted_sum(self.e1_coeffs, self.mixed) + ref.c1
 
     @cached_property
+    def velocity(self):
+        """The flow velocity log(volume ratio) + phi - h, the right-hand side
+        of dphi/dt; along the flow dnu/dt = -n * Dirichlet(velocity)."""
+        return self.log_rel + self.values - self.ref.h
+
+    @cached_property
     def dirichlet(self):
-        return dirichlet(self.state, self.log_rel + self.values - self.ref.potential.h)
+        return dirichlet(self.state, self.velocity)
 
     @cached_property
     def residual(self):
+        """E1 - 2 nu - Dirichlet(velocity), the same C_omega at every potential."""
         return self.e1 - 2.0 * self.nu - self.dirichlet
-
-
-def mixed_sum(ref, phi, coeffs):
-    """sum_k coeffs[k]/(n+1) <avg of phi * (ref^k wedge perturbed^(n-k))>."""
-    coeffs = np.asarray(coeffs, dtype=np.float64)
-    if coeffs.shape != (ref.config.n + 1,):
-        raise ValueError(f"need {ref.config.n + 1} coefficients, got shape {coeffs.shape}")
-    return weighted_sum(coeffs, Energies.at(ref, phi).uncentered)
 
 
 def j_energy(ref, phi):
@@ -247,39 +235,14 @@ def j_energy(ref, phi):
     return j_grad
 
 
-def k_energy(ref, phi):
-    """K-energy in synthetic form: entropy-type term, weighted mixed sums,
-    plus the reference constant."""
-    return Energies.at(ref, phi).nu
-
-
-def e1_energy(ref, phi, coeffs=None):
-    """First Chen-Tian energy with its (n-1, n-1, -2, ...) mixed weights."""
-    return Energies.at(ref, phi, coeffs).e1
-
-
-def flow_velocity(ref, phi):
-    """Potential-flow velocity log(volume ratio) + phi - h."""
-    values = _potential_values(phi, ref.grid)
-    state = state_from_total(ref.config, ref.state.phi_total + values)
-    return state.log_density - ref.state.log_density + values - ref.potential.h
-
-
 def dirichlet(state, v):
-    """Average of i dv /\\ dbar(v) wedge metric^(n-1); nonnegative."""
+    """Average of i dv /\\ dbar(v) wedge metric^(n-1); nonnegative. At the
+    flow velocity v (``Energies.velocity``), dnu/dt = -n * dirichlet(state, v)."""
     n = state.config.n
     density = d_ds(v, state.grid) ** 2
     if n > 1:
         density = density * state.form.b ** (n - 1)
     return average(density, state.config)
-
-
-def identity_residual(ref, phi, e1_coeffs=None):
-    """E1 - 2 K-energy - Dirichlet(velocity); independent of phi.
-
-    Its common value is the reference constant relating the two energies.
-    """
-    return Energies.at(ref, phi, e1_coeffs).residual
 
 
 def c_omega_estimate(ref, e1_coeffs=None):

@@ -21,7 +21,6 @@ from .functionals import (
     evaluate,
     fubini_study_reference,
     futaki_of_state,
-    identity_residual,
     make_reference,
     weighted_sum,
 )
@@ -215,12 +214,17 @@ class SuiteConfig:
         # the shift check reads 3 samples, the cocycle checks 3 pairs of them
         if self.samples < 6:
             raise ConfigError(f"samples must be at least 6, got {self.samples}")
-        if self.fd_pairs < 1:
-            raise ConfigError(f"fd_pairs must be at least 1, got {self.fd_pairs}")
+        for name in ("fd_pairs", "flow_record_every"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be at least 1, got {getattr(self, name)}")
         for name in ("fd_dt", "flow_t_max"):
             value = getattr(self, name)
             if not 0.0 < value < np.inf:
                 raise ConfigError(f"{name} must be positive and finite, got {value}")
+        try:
+            build_grid(self.flow_grid)
+        except ConfigError as exc:
+            raise ConfigError(f"flow_grid: {exc}") from None
 
     def tolerance(self, name):
         return float(self.tolerances.get(name, DEFAULT_TOLERANCES[name]))
@@ -286,12 +290,12 @@ def run_suite(config):
     add("diagonal_vanishing", diag)
 
     # Ricci potential defining conditions
-    h = bent_ref.potential.h
+    h = bent_ref.h
     defect = d_ds(h, grid) - (bent_state.ricci.b - bent_state.form.b)
     add("h_defining_eq", np.abs(defect).max())
     add("h_normalization",
         abs(average((np.exp(h) - 1.0) * bent_ref.state.density, manifold)))
-    add("h_background_zero", np.abs(fs_ref.potential.h).max())
+    add("h_background_zero", np.abs(fs_ref.h).max())
 
     # Futaki invariant: vanishing and independence of the metric in the class
     states = [fs_ref.state, bent_state]
@@ -315,7 +319,7 @@ def run_suite(config):
         residuals = [c_omega_estimate(ref, e1_coeffs)]
         if ref is bent_ref:
             usable = sample_admissible(manifold, rng, config.samples, base=ref.state)
-            residuals += [identity_residual(ref, phi, e1_coeffs=e1_coeffs) for phi in usable]
+            residuals += [Energies.at(ref, phi, e1_coeffs).residual for phi in usable]
         else:
             residuals += [r.residual for r in reports]
         spread = max(residuals) - min(residuals)

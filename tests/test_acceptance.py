@@ -14,15 +14,13 @@ from conftest import flow_gate_failures
 from krflow.calculus import build_grid, d_ds, integrate_ds
 from krflow.flow import FlowConfig, run
 from krflow.functionals import (
+    Energies,
     dirichlet,
     e1_coefficients,
-    e1_energy,
     evaluate,
     fubini_study_reference,
     futaki_of_state,
-    identity_residual,
     j_energy,
-    k_energy,
     make_reference,
     re_reference,
     ricci_potential,
@@ -82,8 +80,8 @@ def residual_data():
                 else:
                     entry["config2048"] = config
                     entry["ref2048"] = ref
-                residuals = [identity_residual(ref, ZERO)]
-                residuals += [identity_residual(ref, phi) for phi in entry["phis"]]
+                residuals = [Energies.at(ref, ZERO).residual]
+                residuals += [Energies.at(ref, phi).residual for phi in entry["phis"]]
                 entry[f"residuals{size}"] = residuals
             entry["c_omega"] = entry["residuals2048"][0]
             entry["reports2048"] = [evaluate(entry["ref2048"], phi)
@@ -189,13 +187,14 @@ def test_criterion_05a_axioms_nu_e1():
             defects = cocycle_check(ref, p1, p2)
             for name in cocycle:
                 cocycle[name] = max(cocycle[name], defects[name])
-        diag = max(abs(f(ref, ZERO)) for f in (j_energy, k_energy, e1_energy))
+        energies = (j_energy, lambda r, p: Energies.at(r, p).nu,
+                    lambda r, p: Energies.at(r, p).e1)
+        diag = max(abs(f(ref, ZERO)) for f in energies)
         bent_ref = make_reference(make_state(config, BENT))
-        diag = max(diag, *(abs(f(bent_ref, ZERO))
-                           for f in (j_energy, k_energy, e1_energy)))
+        diag = max(diag, *(abs(f(bent_ref, ZERO)) for f in energies))
         phi = sample_admissible(config, rng, 1)[0]
         shift = max(abs(f(ref, phi + RadialPotential((2.5,))) - f(ref, phi))
-                    for f in (j_energy, k_energy, e1_energy))
+                    for f in energies)
         ok &= all(cocycle[name] <= DEFAULT_TOLERANCES["cocycle_" + name] for name in cocycle)
         ok &= diag <= DEFAULT_TOLERANCES["diagonal_vanishing"]
         ok &= shift <= DEFAULT_TOLERANCES["shift_invariance"]
@@ -292,10 +291,10 @@ def test_criterion_07_ricci_potential():
         config = ManifoldConfig(n=n, grid=build_grid(1024))
         state = make_state(config, BENT)
         ref = make_reference(state)
-        defect = np.abs(d_ds(ref.potential.h, config.grid)
+        defect = np.abs(d_ds(ref.h, config.grid)
                         - (state.ricci.b - state.form.b)).max()
-        norm = abs(average((np.exp(ref.potential.h) - 1.0) * ref.state.density, config))
-        fs = np.abs(fubini_study_reference(config).potential.h).max()
+        norm = abs(average((np.exp(ref.h) - 1.0) * ref.state.density, config))
+        fs = np.abs(fubini_study_reference(config).h).max()
         ok &= defect <= 1e-6 and norm <= 1e-10 and fs <= 1e-10
         details.append(f"n={n}: eq {defect:.1e}, norm {norm:.1e}, fs {fs:.1e}")
     assert _criterion(7, "Ricci potential conditions", ok, "; ".join(details))
@@ -358,8 +357,8 @@ def test_criterion_10_mutation_sensitivity():
     corrupted = e1_coefficients(1)
     corrupted[1] += 0.1
 
-    residuals = [identity_residual(ref, ZERO, e1_coeffs=corrupted)]
-    residuals += [identity_residual(ref, phi, e1_coeffs=corrupted) for phi in phis]
+    residuals = [Energies.at(ref, ZERO, corrupted).residual]
+    residuals += [Energies.at(ref, phi, corrupted).residual for phi in phis]
     spread = max(residuals) - min(residuals)
     residual_detects = spread > (DEFAULT_TOLERANCES["residual_constancy_background"]
                                  * (1.0 + abs(residuals[0])))
@@ -373,7 +372,7 @@ def test_criterion_10_mutation_sensitivity():
     state = make_state(config, BENT)
     bad_h = ricci_potential(state, normalization_offset=0.1)
     density = wedge_density(state.form, 1, state.form, 1)
-    norm = abs(average((np.exp(bad_h.h) - 1.0) * density, config))
+    norm = abs(average((np.exp(bad_h) - 1.0) * density, config))
     norm_detects = norm > DEFAULT_TOLERANCES["h_normalization"]
 
     ok = residual_detects and der_detects and norm_detects

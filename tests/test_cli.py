@@ -98,7 +98,9 @@ def test_verify_missing_file(tmp_path):
     assert main(["verify", "--config", str(tmp_path / "absent.ini")]) == 2
 
 
-@pytest.mark.parametrize("key, value", [("samples", 3), ("samples", 5), ("fd_pairs", 0)])
+@pytest.mark.parametrize("key, value", [("samples", 3), ("samples", 5), ("fd_pairs", 0),
+                                        ("flow_grid", 15), ("flow_grid", 129),
+                                        ("flow_record_every", 0)])
 def test_verify_rejects_too_few_samples_or_pairs(tmp_path, capsys, key, value):
     config = _write(tmp_path, "bad.ini",
                     f"[run]\nn = 1\ngrid_size = 128\n\n[suite]\n{key} = {value}\n")

@@ -27,7 +27,7 @@ from krflow.flow import (
     run,
     step,
 )
-from krflow.functionals import dirichlet, fubini_study_reference
+from krflow.functionals import Energies, dirichlet, fubini_study_reference
 from krflow.geometry import (
     ManifoldConfig,
     MetricState,
@@ -96,9 +96,8 @@ def test_step_richardson_order(small_config):
     # compared re-zeroed too
     ref = fubini_study_reference(small_config)
     g = small_config.grid
-    from krflow.functionals import flow_velocity
     phi = TILT.values(g)
-    v = flow_velocity(ref, TILT)
+    v = Energies.at(ref, TILT).velocity
     gaps = []
     for dt in (1e-3, 5e-4):
         updated, _ = step(ref, phi, dt)
@@ -130,7 +129,9 @@ def _cone_exit(monkeypatch, start, stop, longest=0.0):
     flow-time window (start, stop). A step calls the kernel at its stage
     only (f0 comes from the start's handed-over profiles), so the step is
     rejected after its factorization. Flow time is the sum of the steps that
-    ``flow.step`` accepted, as ``run`` takes them."""
+    ``flow.step`` accepted, as ``run`` takes them. A step counts as longer
+    only beyond the relative slack 1e-9 that ``run``'s landing rule allows,
+    so the roundoff of a halved step t_next - t does not reject it."""
     clock = {"t": 0.0, "dt": 0.0}
     real_step, real_velocity = flow.step, _kernels.velocity
 
@@ -142,7 +143,7 @@ def _cone_exit(monkeypatch, start, stop, longest=0.0):
 
     def velocity(*args):
         t, dt = clock["t"], clock["dt"]
-        if dt > longest and t < stop and t + dt > start:
+        if dt > longest * (1.0 + 1e-9) and t < stop and t + dt > start:
             min_ahat, min_bhat = FAILED_MINS
             profiles = real_velocity(*args)[1]
             return None, profiles._replace(min_ahat=min_ahat, min_bhat=min_bhat)
@@ -253,7 +254,7 @@ def test_run_rejection_and_halving(small_config, monkeypatch):
     # run steps at h again. Each rejection is logged with its time, step and
     # the minima that failed, and the trajectory stays that of the unpatched
     # run up to the step error that the window's shorter steps reduce
-    # (7.1e-6 of nu, measured)
+    # (6.9e-6 of nu, measured)
     h = 0.01
     cfg = FlowConfig(manifold=small_config, initial=TILT, t_max=0.5,
                      record_every=100, dt_init=h / 100)
@@ -264,7 +265,7 @@ def test_run_rejection_and_halving(small_config, monkeypatch):
     np.testing.assert_allclose(trace.rejections[:2], [(0.1, h) + FAILED_MINS,
                                                       (0.1, h / 2) + FAILED_MINS], atol=1e-12)
     for t, dt, min_a, min_b in trace.rejections:
-        assert 0.1 - 1e-12 <= t < 0.2025 and dt > h / 4
+        assert 0.1 - 1e-12 <= t < 0.2025 and dt > h / 4 * (1.0 + 1e-9)
     # a rejected step stops at its stage velocity, after the factorization:
     # two velocity evaluations and one factorization per attempted step
     assert trace.velocity_evals == 2 * (trace.accepted + trace.rejected)
@@ -326,7 +327,7 @@ def test_c_omega_estimate(small_config):
     from krflow.geometry import make_state
     bent = make_reference(make_state(small_config, RadialPotential((0.0, 0.2, 0.1))))
     est = c_omega_estimate(bent)
-    assert est == pytest.approx(-dirichlet(bent.state, -bent.potential.h), abs=1e-15)
+    assert est == pytest.approx(-dirichlet(bent.state, -bent.h), abs=1e-15)
     assert est < 0.0
 
 
@@ -449,6 +450,52 @@ def test_background_jacobian_grows_only_the_gauge_mode(n, size):
     # the exact flow linearized at Fubini-Study grows only the constant
     # gauge mode (k = 0, eigenvalue 1)
     assert (_background_spectrum(n, size).real > 1e-9).sum() == 1
+
+
+@functools.lru_cache(maxsize=None)
+def _decaying_flow(n):
+    """Records along the flow from 0.2x + 0.05x^2 at N = 256 to t = 4."""
+    config = FlowConfig(manifold=ManifoldConfig(n=n, grid=build_grid(256)),
+                        initial=RadialPotential((0.0, 0.2, 0.05)), t_max=4.0, record_every=50)
+    records = run(config).records
+    return tuple(np.array([getattr(rec, name) for rec in records])
+                 for name in ("t", "nu", "dirichlet"))
+
+
+def _log_slope(t, values, start, stop):
+    window = (t >= start) & (t <= stop)
+    return np.polyfit(t[window], np.log(values[window]), 1)[0]
+
+
+@pytest.mark.parametrize("n", (1, 2, 3))
+def test_flow_decays_at_the_jacobi_rate(n):
+    # the flow converges to a point of the Fubini-Study orbit (the k = 1
+    # mode has eigenvalue 0), and its velocity then decays with the k = 2
+    # eigenvalue -(n + 3)/(n + 1). Dirichlet and nu, quadratic in it, decay
+    # at twice that rate: fitted on [2, 4] Dirichlet's rate is off by
+    # 6.0e-5, 8.6e-5 and 9.1e-5 at n = 1, 2, 3, and nu's on [1, 3] by
+    # 2.9e-4, 3.0e-4 and 4.3e-5 (measured)
+    t, nu, dirichlet_ = _decaying_flow(n)
+    rate = -2.0 * (n + 3) / (n + 1)
+    assert abs(_log_slope(t, dirichlet_, 2.0, 4.0) / rate - 1.0) <= 1e-3
+    assert abs(_log_slope(t, nu, 1.0, 3.0) / rate - 1.0) <= 1e-2
+
+
+@pytest.mark.parametrize("n", (1, 2, 3))
+def test_flow_dissipates_nu_at_n_times_dirichlet(n):
+    # dnu/dt = -n * dirichlet: nu's fall to T ~ 2 against n times the
+    # Dirichlet column's integral, composite Simpson over an even number of
+    # record intervals. The gap is 1.2e-5, 1.7e-5 and 2.2e-5 of the fall at
+    # n = 1, 2, 3 (measured) and falls at second order with the step;
+    # without the factor n it would be 1/2 at n = 2 and 2/3 at n = 3
+    t, nu, dirichlet_ = _decaying_flow(n)
+    h = t[1] - t[0]
+    m = int(2.0 / h) // 2 * 2
+    np.testing.assert_allclose(np.diff(t[:m + 1]), h, rtol=1e-9)
+    integral = h / 3.0 * (dirichlet_[0] + 4.0 * dirichlet_[1:m:2].sum()
+                          + 2.0 * dirichlet_[2:m:2].sum() + dirichlet_[m])
+    fall = nu[0] - nu[m]
+    assert abs(fall - n * integral) <= 5e-5 * fall
 
 
 @pytest.mark.parametrize("size", (16, 128, 134, 256, 512))

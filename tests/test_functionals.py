@@ -13,19 +13,15 @@ from krflow.functionals import (
     c_omega_estimate,
     dirichlet,
     e1_coefficients,
-    e1_energy,
     evaluate,
-    flow_velocity,
     fubini_study_reference,
     futaki_of_state,
-    identity_residual,
     j_energy,
-    k_energy,
     k_energy_coefficients,
     make_reference,
-    mixed_sum,
     re_reference,
     ricci_potential,
+    weighted_sum,
 )
 from krflow.geometry import (
     ManifoldConfig,
@@ -61,23 +57,22 @@ def test_coefficient_systems():
 
 
 def test_ricci_potential_background(fs_ref1):
-    assert np.abs(fs_ref1.potential.h).max() == 0.0
-    assert fs_ref1.potential.c == 0.0
+    assert np.abs(fs_ref1.h).max() == 0.0
     assert fs_ref1.c0 == 0.0 and fs_ref1.c1 == 0.0
 
 
 def test_ricci_potential_defining_equation():
     cfg = ManifoldConfig(n=2, grid=build_grid(1024))
     state = make_state(cfg, RadialPotential((0.0, 0.2, 0.1)))
-    potential = ricci_potential(state)
-    defect = d_ds(potential.h, cfg.grid) - (state.ricci.b - state.form.b)
+    h = ricci_potential(state)
+    defect = d_ds(h, cfg.grid) - (state.ricci.b - state.form.b)
     assert np.abs(defect).max() <= 1e-6
 
 
 def test_ricci_potential_normalization(bent_ref1):
     state = bent_ref1.state
     cfg = state.config
-    value = average((np.exp(bent_ref1.potential.h) - 1.0) * bent_ref1.state.density, cfg)
+    value = average((np.exp(bent_ref1.h) - 1.0) * bent_ref1.state.density, cfg)
     assert abs(value) <= 1e-10
 
 
@@ -130,8 +125,8 @@ def test_j_energy_mismatch_raises(rng):
 
 def test_k_energy_zero_and_constant(fs_ref1, bent_ref1):
     for ref in (fs_ref1, bent_ref1):
-        assert k_energy(ref, ZERO) == 0.0
-        assert abs(k_energy(ref, RadialPotential((0.8,)))) <= 1e-8
+        assert Energies.at(ref, ZERO).nu == 0.0
+        assert abs(Energies.at(ref, RadialPotential((0.8,))).nu) <= 1e-8
 
 
 def test_k_energy_path_integral_oracle():
@@ -149,7 +144,7 @@ def test_k_energy_path_integral_oracle():
         return -0.5 * average(xi * (scalar_curvature(state) - 2.0 * n) * density, cfg)
 
     oracle = gauss_path_integral(derivative)
-    assert k_energy(ref, phi) == pytest.approx(oracle, abs=1e-5)
+    assert Energies.at(ref, phi).nu == pytest.approx(oracle, abs=1e-5)
 
 
 def test_k_energy_synthetic_matches_direct_display(fs_ref2, rng):
@@ -161,16 +156,16 @@ def test_k_energy_synthetic_matches_direct_display(fs_ref2, rng):
         state = make_state(cfg, fs_ref2.state.phi_total + values)
         density = wedge_density(state.form, n, state.form, n)
         log_rel = state.log_density - fs_ref2.state.log_density
-        entropy = average((log_rel + values - fs_ref2.potential.h) * density, cfg)
-        mixed = mixed_sum(fs_ref2, phi, np.ones(n + 1))
+        entropy = average((log_rel + values - fs_ref2.h) * density, cfg)
+        mixed = weighted_sum(np.ones(n + 1), Energies.at(fs_ref2, phi).uncentered)
         direct = entropy - mixed + fs_ref2.c0
-        assert k_energy(fs_ref2, phi) == pytest.approx(direct, abs=1e-7)
+        assert Energies.at(fs_ref2, phi).nu == pytest.approx(direct, abs=1e-7)
 
 
 def test_e1_energy_zero_and_constant(fs_ref2, bent_ref2):
     for ref in (fs_ref2, bent_ref2):
-        assert e1_energy(ref, ZERO) == 0.0
-        assert abs(e1_energy(ref, RadialPotential((-0.4,)))) <= 1e-8
+        assert Energies.at(ref, ZERO).e1 == 0.0
+        assert abs(Energies.at(ref, RadialPotential((-0.4,))).e1) <= 1e-8
 
 
 def test_e1_energy_path_integral_oracle():
@@ -192,16 +187,16 @@ def test_e1_energy_path_integral_oracle():
         return value
 
     oracle = gauss_path_integral(derivative)
-    assert e1_energy(ref, phi) == pytest.approx(oracle, abs=1e-5)
+    assert Energies.at(ref, phi).e1 == pytest.approx(oracle, abs=1e-5)
 
 
 def test_flow_velocity_fixed_point(fs_ref1):
-    v = flow_velocity(fs_ref1, ZERO)
+    v = Energies.at(fs_ref1, ZERO).velocity
     assert np.abs(v).max() == 0.0
 
 
 def test_flow_velocity_constant_shift(fs_ref1):
-    v = flow_velocity(fs_ref1, RadialPotential((0.9,)))
+    v = Energies.at(fs_ref1, RadialPotential((0.9,))).velocity
     assert np.abs(v - 0.9).max() <= 1e-11
 
 
@@ -210,7 +205,7 @@ def test_flow_velocity_profile_identity(bent_ref2, rng):
     phi = sample_admissible(cfg, rng, 1, base=bent_ref2.state)[0]
     from krflow.geometry import state_from
     state = state_from(bent_ref2.state, phi)
-    v = flow_velocity(bent_ref2, phi)
+    v = Energies.at(bent_ref2, phi).velocity
     defect = d_ds(v, cfg.grid) - (state.form.b - state.ricci.b)
     assert np.abs(defect).max() <= 1e-6
 
@@ -225,22 +220,22 @@ def test_dirichlet_values(fs_ref1):
 def test_dirichlet_nonnegative(fs_ref2, rng):
     for phi in sample_admissible(fs_ref2.config, rng, 5):
         state = make_state(fs_ref2.config, phi)
-        v = flow_velocity(fs_ref2, phi)
+        v = Energies.at(fs_ref2, phi).velocity
         assert dirichlet(state, v) >= 0.0
 
 
 def test_identity_residual_at_zero(fs_ref1, bent_ref1):
-    assert identity_residual(fs_ref1, ZERO) == 0.0
-    res = identity_residual(bent_ref1, ZERO)
-    expected = -dirichlet(bent_ref1.state, -bent_ref1.potential.h)
+    assert Energies.at(fs_ref1, ZERO).residual == 0.0
+    res = Energies.at(bent_ref1, ZERO).residual
+    expected = -dirichlet(bent_ref1.state, -bent_ref1.h)
     assert res == pytest.approx(expected, abs=1e-15)
     assert res <= 0.0
 
 
 def test_identity_residual_constancy(fs_ref1, rng):
     cfg = fs_ref1.config
-    residuals = [identity_residual(fs_ref1, ZERO)]
-    residuals += [identity_residual(fs_ref1, phi)
+    residuals = [Energies.at(fs_ref1, ZERO).residual]
+    residuals += [Energies.at(fs_ref1, phi).residual
                   for phi in sample_admissible(cfg, rng, 6)]
     assert max(residuals) - min(residuals) <= 1e-5
 
@@ -263,7 +258,7 @@ def test_futaki_vanishes_and_reference_independent(n, rng):
 
 def _futaki_of_solved_h(state):
     """The invariant from the solved Ricci potential: average(d_ds h * density)."""
-    h = make_reference(state).potential.h
+    h = make_reference(state).h
     return average(d_ds(h, state.grid) * state.density, state.config)
 
 
@@ -301,8 +296,8 @@ def test_re_reference_identity(fs_ref1, rng):
     same = re_reference(fs_ref1, ZERO)
     phi = sample_admissible(fs_ref1.config, rng, 1)[0]
     assert j_energy(same, phi) == pytest.approx(j_energy(fs_ref1, phi), abs=1e-14)
-    assert k_energy(same, phi) == pytest.approx(k_energy(fs_ref1, phi), abs=1e-14)
-    assert e1_energy(same, phi) == pytest.approx(e1_energy(fs_ref1, phi), abs=1e-14)
+    assert Energies.at(same, phi).nu == pytest.approx(Energies.at(fs_ref1, phi).nu, abs=1e-14)
+    assert Energies.at(same, phi).e1 == pytest.approx(Energies.at(fs_ref1, phi).e1, abs=1e-14)
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -312,9 +307,9 @@ def test_cocycle_nu_e1(n, rng):
     ref = fubini_study_reference(cfg)
     p1, p2 = sample_admissible(cfg, rng, 2, coeff_bound=0.2)
     ref1 = re_reference(ref, p1)
-    for f in (k_energy, e1_energy):
-        total = f(ref, p2)
-        split = f(ref, p1) + f(ref1, p2 - p1)
+    for name in ("nu", "e1"):
+        total = getattr(Energies.at(ref, p2), name)
+        split = getattr(Energies.at(ref, p1), name) + getattr(Energies.at(ref1, p2 - p1), name)
         scale = max(abs(total), abs(split))
         assert abs(total - split) <= 1e-6 * (1.0 + scale)
 
@@ -322,13 +317,9 @@ def test_cocycle_nu_e1(n, rng):
 def test_mixed_sum_constant_telescoping(fs_ref2):
     const = RadialPotential((0.6,))
     n = fs_ref2.config.n
-    assert abs(mixed_sum(fs_ref2, const, k_energy_coefficients(n))) <= 1e-8
-    assert abs(mixed_sum(fs_ref2, const, e1_coefficients(n))) <= 1e-8
-
-
-def test_mixed_sum_coefficient_length(fs_ref2):
-    with pytest.raises(ValueError):
-        mixed_sum(fs_ref2, ZERO, np.ones(5))
+    uncentered = Energies.at(fs_ref2, const).uncentered
+    assert abs(weighted_sum(k_energy_coefficients(n), uncentered)) <= 1e-8
+    assert abs(weighted_sum(e1_coefficients(n), uncentered)) <= 1e-8
 
 
 def test_mixed_sum_all_ones_derivative(fs_ref2, rng):
@@ -340,8 +331,9 @@ def test_mixed_sum_all_ones_derivative(fs_ref2, rng):
     xi = RadialPotential(rng.uniform(-0.2, 0.2, 9))
     dt = 1e-4
     ones = np.ones(n + 1)
-    lhs = (mixed_sum(fs_ref2, phi + xi.scaled(dt), ones)
-           - mixed_sum(fs_ref2, phi + xi.scaled(-dt), ones)) / (2.0 * dt)
+    plus, minus = (weighted_sum(ones, Energies.at(fs_ref2, phi + xi.scaled(s)).uncentered)
+                   for s in (dt, -dt))
+    lhs = (plus - minus) / (2.0 * dt)
     state = make_state(cfg, phi)
     rhs = average(xi.values(cfg.grid) * wedge_density(state.form, n, state.form, n), cfg)
     assert abs(lhs - rhs) <= 1e-5 * (1.0 + abs(rhs))
@@ -351,16 +343,16 @@ def test_shift_invariance(fs_ref2, rng):
     phi = sample_admissible(fs_ref2.config, rng, 1)[0]
     shifted = phi + RadialPotential((5.0,))
     assert abs(j_energy(fs_ref2, shifted) - j_energy(fs_ref2, phi)) <= 1e-8
-    assert abs(k_energy(fs_ref2, shifted) - k_energy(fs_ref2, phi)) <= 1e-8
-    assert abs(e1_energy(fs_ref2, shifted) - e1_energy(fs_ref2, phi)) <= 1e-8
-    assert abs(identity_residual(fs_ref2, shifted)
-               - identity_residual(fs_ref2, phi)) <= 1e-8
+    assert abs(Energies.at(fs_ref2, shifted).nu - Energies.at(fs_ref2, phi).nu) <= 1e-8
+    assert abs(Energies.at(fs_ref2, shifted).e1 - Energies.at(fs_ref2, phi).e1) <= 1e-8
+    assert abs(Energies.at(fs_ref2, shifted).residual
+               - Energies.at(fs_ref2, phi).residual) <= 1e-8
 
 
 def test_evaluate_report(rng, monkeypatch):
     # at n = 1, 2, 3 and both references, evaluate shares one state build
     # and one set of mixed averages among J, nu, E1 and the residual, and
-    # gives each the same bits as the function that computes it alone
+    # gives each the same bits as a fresh state's ``Energies``
     calls, quadratures = [], []
 
     def counted(*args):
@@ -399,10 +391,10 @@ def test_evaluate_report(rng, monkeypatch):
             assert (wedges, averages) == (n + 1, 2 * n + 4), n
             assert at_ref == (n, n + 4) and at_record == (n, n + 5), n
             assert report.j == j_energy(ref, phi)
-            assert report.nu == k_energy(ref, phi)
-            assert report.e1 == e1_energy(ref, phi)
-            assert report.residual == identity_residual(ref, phi)
-            assert report.dirichlet == dirichlet(state, flow_velocity(ref, phi))
+            assert report.nu == Energies.at(ref, phi).nu
+            assert report.e1 == Energies.at(ref, phi).e1
+            assert report.residual == Energies.at(ref, phi).residual
+            assert report.dirichlet == dirichlet(state, Energies.at(ref, phi).velocity)
             assert report.j >= 0.0
             assert report.dirichlet >= 0.0
             assert report.residual == pytest.approx(
@@ -448,3 +440,14 @@ def test_energy_weighting_stays_in_functionals():
                     if isinstance(node, ast.Attribute) and node.attr.startswith("_")
                     and isinstance(node.value, ast.Name) and node.value.id == "functionals"]
         assert not private, (module, private)
+
+
+def test_every_exported_name_resolves():
+    # ``from krflow import *`` imports each name in ``__all__``; the energies
+    # are read through ``Energies``, which the package exports
+    import krflow
+    namespace = {}
+    exec("from krflow import *", namespace)
+    assert set(krflow.__all__) <= namespace.keys()
+    assert len(set(krflow.__all__)) == len(krflow.__all__)
+    assert namespace["Energies"] is Energies

@@ -5,14 +5,13 @@ from krflow import flow, functionals, geometry, verification
 from krflow.calculus import build_grid
 from krflow.errors import ConfigError
 from krflow.functionals import (
+    Energies,
     e1_coefficients,
-    e1_energy,
     fubini_study_reference,
     j_energy,
-    k_energy,
     make_reference,
-    mixed_sum,
     re_reference,
+    weighted_sum,
 )
 from krflow.geometry import (
     ManifoldConfig,
@@ -87,10 +86,11 @@ def test_variational_check_bits_match_each_functional(n, rng):
     direction = RadialPotential(rng.uniform(-0.3, 0.3, 9))
     dt = 1e-4
     functionals_ = {
-        "DER_JFUNC": lambda p: mixed_sum(ref, p, np.full(n + 1, float(n + 1))),
-        "DER_KENERG": lambda p: k_energy(ref, p),
-        "DER_J1FUN": lambda p: mixed_sum(ref, p, e1_coefficients(n)),
-        "DER_E1": lambda p: e1_energy(ref, p, coeffs=e1_coeffs),
+        "DER_JFUNC": lambda p: weighted_sum(np.full(n + 1, float(n + 1)),
+                                            Energies.at(ref, p).uncentered),
+        "DER_KENERG": lambda p: Energies.at(ref, p).nu,
+        "DER_J1FUN": lambda p: weighted_sum(e1_coefficients(n), Energies.at(ref, p).uncentered),
+        "DER_E1": lambda p: Energies.at(ref, p, e1_coeffs).e1,
     }
     checks = variational_check(ref, base, direction, dt=dt, e1_coeffs=e1_coeffs)
     assert tuple(checks) == IDENTITIES
@@ -109,8 +109,12 @@ def test_variational_check_bits_match_each_functional(n, rng):
 def test_cocycle_check_bits_match_each_functional(n, rng):
     cfg = ManifoldConfig(n=n, grid=build_grid(256))
     bent = make_reference(make_state(cfg, RadialPotential((0.0, 0.2, 0.1))))
-    functionals_ = {"nu": k_energy, "e1": e1_energy,
-                    "mixed_energy": lambda ref, p: mixed_sum(ref, p, np.ones(n + 1))}
+    functionals_ = {
+        "nu": lambda ref, p: Energies.at(ref, p).nu,
+        "e1": lambda ref, p: Energies.at(ref, p).e1,
+        "mixed_energy": lambda ref, p: weighted_sum(np.ones(n + 1),
+                                                    Energies.at(ref, p).uncentered),
+    }
     for ref in (fubini_study_reference(cfg), bent):
         p1, p2 = sample_admissible(cfg, rng, 2, coeff_bound=0.2, base=ref.state)
         defects = cocycle_check(ref, p1, p2)
@@ -187,13 +191,17 @@ def test_j_cocycle_defect_is_structural(fs_ref1, rng):
     assert _two_point_defect(j_energy, fs_ref1, p1, p2) > 1e-4
 
 
-@pytest.mark.parametrize("field, value", [("samples", 3), ("samples", 5), ("fd_pairs", 0)])
+@pytest.mark.parametrize("field, value", [("samples", 3), ("samples", 5), ("fd_pairs", 0),
+                                          ("flow_grid", 15), ("flow_grid", 129),
+                                          ("flow_record_every", 0)])
 def test_suite_config_rejects_too_few_samples_or_pairs(field, value):
     # fewer than 6 samples leaves the cocycle checks short of their 3 pairs,
-    # and no finite-difference pair leaves the identities unchecked
+    # and no finite-difference pair leaves the identities unchecked. The
+    # flow's grid and record spacing are checked here too, so that the
+    # error names the field before any check runs
     with pytest.raises(ConfigError, match=field):
         SuiteConfig(**{field: value})
-    SuiteConfig(samples=6, fd_pairs=1)
+    SuiteConfig(samples=6, fd_pairs=1, flow_grid=16, flow_record_every=1)
 
 
 def test_suite_default_passes():
