@@ -3,15 +3,18 @@ velocity.
 
 ``d_dx`` is the one derivative of the package (``calculus.d_dx`` is the same
 function). ``profiles`` is the one derivation of the metric profiles from a
-total potential; the state build, the flow velocity and the flow's Jacobian
-all read it. Every kernel takes the ``calculus.Grid`` it works on and reads
-its spacing and node profiles from it; values are float64 arrays over the
-full node set (N+1 values including both endpoints).
+total potential and the one positivity test; the state build and the flow
+velocity call it (a ``MetricState`` derives its density and Ricci profile
+when first read). Every kernel takes the ``calculus.Grid`` it works on and
+reads its spacing and node profiles from it; values are float64 arrays over
+the full node set (N+1 values including both endpoints).
 """
 
 from typing import NamedTuple
 
 import numpy as np
+
+from .errors import NotInPotentialSpace
 
 
 def d_dx(values, grid):
@@ -52,23 +55,20 @@ def d_dx(values, grid):
 
 
 class Profiles(NamedTuple):
-    """Metric profiles of one total potential (see ``geometry``)."""
+    """Metric profiles of one positive total potential (see ``geometry``)."""
 
-    u: np.ndarray  # phi'(x)
-    b: np.ndarray  # B = (n+1) x + x(1-x) u
+    b: np.ndarray  # B = (n+1) x + x(1-x) phi'(x)
     r: np.ndarray  # dB/dx
-    q: np.ndarray  # (n+1) + (1-x) u
+    q: np.ndarray  # (n+1) + (1-x) phi'(x)
     ahat: np.ndarray  # r / (n+1)
     bhat: np.ndarray  # q / (n+1)
-    min_ahat: float
-    min_bhat: float
-    log_density: np.ndarray | None  # log volume ratio; None off the cone
+    log_density: np.ndarray  # log volume ratio against the background
 
 
 def profiles(total, grid, n):
     """Profiles of the metric with the background-relative potential
-    ``total``; ``log_density`` is None when the state leaves the positive
-    cone (the minima still report how far)."""
+    ``total``. Raises NotInPotentialSpace, with the minima of Ahat and Bhat,
+    when the state leaves the positive cone."""
     np1 = n + 1.0
     u = d_dx(total, grid)
     b = np1 * grid.x + grid.xm * u
@@ -78,52 +78,36 @@ def profiles(total, grid, n):
     bhat = q / np1
     min_a = float(ahat.min())
     min_b = float(bhat.min())
-    log_density = None
-    if min_a > 0.0 and min_b > 0.0:
-        log_density = np.log(ahat)
-        if n > 1:
-            log_density += (n - 1) * np.log(bhat)
-    return Profiles(u, b, r, q, ahat, bhat, min_a, min_b, log_density)
+    if not (min_a > 0.0 and min_b > 0.0):
+        raise NotInPotentialSpace(
+            f"metric not positive: min Ahat = {min_a:.6g}, min Bhat = {min_b:.6g}", min_a, min_b)
+    log_density = np.log(ahat)
+    if n > 1:
+        log_density += (n - 1) * np.log(bhat)
+    return Profiles(b, r, q, ahat, bhat, log_density)
 
 
 def velocity(phi, shift, grid, n):
-    """Flow velocity log(density ratio) + phi - shift, as ``(velocity,
-    profiles)``; the velocity is None off the positive cone, and the
-    ``Profiles`` of ``phi`` say how far.
+    """Flow velocity log(density ratio) + phi - shift; raises
+    NotInPotentialSpace off the positive cone.
 
     ``shift`` folds the reference metric's log density, potential offset and
     Ricci potential into one precomputed profile.
     """
-    p = profiles(phi, grid, n)
-    if p.log_density is None:
-        return None, p
-    out = p.log_density + phi  # a new array: p keeps its log density
+    out = profiles(phi, grid, n).log_density + phi
     out -= shift
-    return out, p
+    return out
 
 
 def rk4_step(phi, dt, shift, grid, n):
-    """One classical Runge-Kutta step of dphi/dt = velocity(phi).
-
-    Returns ``(phi_new, ok)``; ok is False when any stage leaves the
-    positive cone, in which case phi_new is None. The flow steps with ROS2
-    and its tests check it against Radau IIA; this step stays only for one
-    clause of ``test_step_rejects_large_dt`` and the benchmark's trace list,
-    until ROADMAP items 1 and 11 retire it.
-    """
-    k1, _ = velocity(phi, shift, grid, n)
-    if k1 is None:
-        return None, False
-    k2, _ = velocity(phi + (0.5 * dt) * k1, shift, grid, n)
-    if k2 is None:
-        return None, False
-    k3, _ = velocity(phi + (0.5 * dt) * k2, shift, grid, n)
-    if k3 is None:
-        return None, False
-    k4, _ = velocity(phi + dt * k3, shift, grid, n)
-    if k4 is None:
-        return None, False
+    """One classical Runge-Kutta step of dphi/dt = velocity(phi), raising
+    NotInPotentialSpace off the cone. The flow steps with ROS2; this step
+    stays only for one clause of ``test_step_rejects_large_dt`` and the
+    benchmark's trace list, until ROADMAP items 1 and 11 retire it."""
+    k1 = velocity(phi, shift, grid, n)
+    k2 = velocity(phi + (0.5 * dt) * k1, shift, grid, n)
+    k3 = velocity(phi + (0.5 * dt) * k2, shift, grid, n)
+    k4 = velocity(phi + dt * k3, shift, grid, n)
     phi_new = phi + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    if profiles(phi_new, grid, n).log_density is None:
-        return None, False
-    return phi_new, True
+    profiles(phi_new, grid, n)  # the positivity test of the result
+    return phi_new

@@ -10,7 +10,13 @@ class ConfigError(KrflowError):
 
 
 class NotInPotentialSpace(KrflowError):
-    """The candidate potential fails the metric positivity test."""
+    """The candidate potential fails the metric positivity test; ``min_ahat``
+    and ``min_bhat`` are the ratios' minima there (None when not known)."""
+
+    def __init__(self, message, min_ahat=None, min_bhat=None):
+        super().__init__(message)
+        self.min_ahat = min_ahat
+        self.min_bhat = min_bhat
 
 
 class ExpressionMismatch(KrflowError):
@@ -18,20 +24,13 @@ class ExpressionMismatch(KrflowError):
 
 
 class DivergentIntegrand(KrflowError):
-    """Endpoint extrapolation of an integrand exceeded the magnitude bound."""
+    """An integrand's endpoint extrapolation exceeded the magnitude bound, or
+    a quadrature that must be positive and finite is not."""
 
 
-class StepRejected(KrflowError):
-    """A flow step left the positive cone; the caller should halve dt.
-
-    ``min_ahat`` and ``min_bhat`` are the positivity ratios' minima at the
-    state that failed (None when not known).
-    """
-
-    def __init__(self, message, min_ahat=None, min_bhat=None):
-        super().__init__(message)
-        self.min_ahat = min_ahat
-        self.min_bhat = min_bhat
+class StepRejected(NotInPotentialSpace):
+    """A flow step left the positive cone, or its step matrix was singular
+    (then both minima are None); the caller should halve dt."""
 
 
 class FlowAborted(KrflowError):

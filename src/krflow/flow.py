@@ -13,12 +13,12 @@ band assembled at the step's start state from the grid's operator bands
 banded routines from numpy's own OpenBLAS (``banded``); an exactly singular
 M rejects the step like a cone exit.
 
-Each accepted state's metric profiles are derived once
-(``_kernels.profiles``). The step derives them for the array the run
-continues from, checks positivity on them, and returns them; ``run`` hands
-them to the next step, which reads f0 and the Jacobian off them, and, at a
-record time, to the record's state build. Only the stage's profiles are
-derived besides, inside the velocity kernel.
+Each accepted state's metric profiles are derived once. A step builds the
+``MetricState`` of the array the run continues from (its positivity check)
+and returns it; ``run`` hands it to the next step, which reads f0 and the
+Jacobian off it, and at a record time to the record, whose reads derive the
+state's density and Ricci profile. Only the stage's profiles are derived
+besides, inside the velocity kernel.
 
 Records fall on a time grid: record k sits at t = k * record_every * dt0,
 where dt0 is ``_stable_dt`` at the initial state, or ``dt_init`` when that
@@ -43,7 +43,7 @@ import numpy as np
 
 from . import _kernels, banded
 from .calculus import HALF_BAND, derivative_bands
-from .errors import ConfigError, FlowAborted, StepRejected
+from .errors import ConfigError, FlowAborted, NotInPotentialSpace, StepRejected
 from .functionals import (
     Energies,
     c_omega_estimate,
@@ -178,9 +178,9 @@ def _stable_dt(config, r, q):
     return 2.5 / lam
 
 
-def _jacobian_band(config, p):
-    """Exact Jacobian of the velocity at the profiles ``p`` (a ``Profiles``
-    or a ``MetricState``; only ``r`` and ``q`` are read):
+def _jacobian_band(config, state):
+    """Exact Jacobian of the velocity at the ``MetricState`` ``state`` (only
+    ``r`` and ``q`` are read, so no density or Ricci profile is derived):
 
         J = diag(1/r) K + diag((n-1)(1-x)/q) D + I,
 
@@ -190,9 +190,9 @@ def _jacobian_band(config, p):
     g = config.grid
     n = config.n
     d_band, k_band = derivative_bands(g)
-    jac = k_band / p.r[:, None]
+    jac = k_band / state.r[:, None]
     if n > 1:
-        jac += d_band * ((n - 1) * g.omx / p.q)[:, None]
+        jac += d_band * ((n - 1) * g.omx / state.q)[:, None]
     jac[:, HALF_BAND] += 1.0
     return jac
 
@@ -212,62 +212,52 @@ def _shift_profile(ref):
 def step(ref, phi, dt, trace=None, start=None):
     """One ROS2 step from the relative potential ``phi``.
 
-    ``start`` holds the profiles of the start state ``ref.state.phi_total +
-    phi`` (the ``Profiles`` a previous step returned, or a ``MetricState``);
-    f0 and the step matrix are read off it, and it is derived when omitted.
-    The result is re-zeroed at the midpoint. Returns ``(rel, profiles)``: the
-    new relative potential as a nodal array and the ``Profiles`` of its total
-    potential. With a ``trace``, the step adds its velocity evaluations and
-    factorization to it. Raises StepRejected when the start state, the stage
-    or the result leaves the positive cone, or when the step matrix is
-    exactly singular; the caller is expected to halve dt and retry.
+    ``start`` is the ``MetricState`` of ``ref.state.phi_total + phi`` (the
+    state a previous step returned), built when omitted; f0 and the step
+    matrix are read off its profiles. The result is re-zeroed at the
+    midpoint. Returns ``(rel, state)``: the new relative potential as a nodal
+    array and the ``MetricState`` of its total potential. With a ``trace``,
+    the step adds its velocity evaluations and factorization to it. Raises
+    StepRejected when the start state, the stage or the result leaves the
+    positive cone (with the minima) or the step matrix is exactly singular;
+    the caller is expected to halve dt and retry.
     """
     g = ref.grid
-    n = ref.config.n
+    config = ref.config
     base = ref.state.phi_total
     total = base + _potential_values(phi, g)
     shift = _shift_profile(ref)
 
-    def rejected(min_a, min_b):
-        return StepRejected(f"positivity lost at dt = {dt:.3e} "
-                            f"(min Ahat {min_a:.3g}, min Bhat {min_b:.3g})",
-                            min_ahat=min_a, min_bhat=min_b)
-
-    def profiles(values):
-        p = _kernels.profiles(values, g, n)
-        if p.log_density is None:
-            raise rejected(p.min_ahat, p.min_bhat)
-        return p
-
     def velocity(values):
         if trace is not None:
             trace.velocity_evals += 1
-        out, p = _kernels.velocity(values, shift, g, n)
-        if out is None:
-            raise rejected(p.min_ahat, p.min_bhat)
-        return out
+        return _kernels.velocity(values, shift, g, config.n)
 
-    if start is None:
-        start = profiles(total)
-    if trace is not None:
-        trace.velocity_evals += 1
-    f0 = start.log_density + total
-    f0 -= shift
-    system = _jacobian_band(ref.config, start)
-    system *= -_GAMMA * dt
-    system[:, HALF_BAND] += 1.0
     try:
+        if start is None:
+            start = state_from_total(config, total)
+        if trace is not None:
+            trace.velocity_evals += 1
+        f0 = start.log_density + total
+        f0 -= shift
+        system = _jacobian_band(config, start)
+        system *= -_GAMMA * dt
+        system[:, HALF_BAND] += 1.0
         factored = banded.factor(system)
+        if trace is not None:
+            trace.factorizations += 1
+        rel = _ros2(velocity, partial(banded.solve, factored), total, f0, dt) - base
+        # the constant mode grows like e^t and is pure gauge (every recorded
+        # functional is shift invariant); left alone it reaches ~1e3 by t ~ 10
+        # and its stencil roundoff pollutes the derivative-heavy record columns
+        rel = rel - rel[g.size // 2]
+        return rel, state_from_total(config, base + rel)
     except np.linalg.LinAlgError as exc:
         raise StepRejected(f"step matrix singular at dt = {dt:.3e} ({exc})") from exc
-    if trace is not None:
-        trace.factorizations += 1
-    rel = _ros2(velocity, partial(banded.solve, factored), total, f0, dt) - base
-    # the constant mode grows like e^t and is pure gauge (every recorded
-    # functional is shift invariant); left alone it reaches ~1e3 by t ~ 10
-    # and its stencil roundoff pollutes the derivative-heavy record columns
-    rel = rel - rel[g.size // 2]
-    return rel, profiles(base + rel)
+    except NotInPotentialSpace as exc:
+        mins = exc.min_ahat, exc.min_bhat
+        where = "" if None in mins else " (min Ahat {:.3g}, min Bhat {:.3g})".format(*mins)
+        raise StepRejected(f"positivity lost at dt = {dt:.3e}{where}", *mins) from exc
 
 
 def _record(ref, state, t):
@@ -300,7 +290,6 @@ def run(config):
     base = ref.state.phi_total
     rel = _potential_values(config.initial, g)
     state = state_from_total(manifold, base + rel)  # validates the initial data
-    start = state
 
     trace = FlowTrace(c_omega=c_omega_estimate(ref))
     trace.records.append(_record(ref, state, 0.0))
@@ -322,7 +311,7 @@ def run(config):
             if remaining <= dt * (1.0 + 1e-9):
                 dt = remaining
             try:
-                rel, start = step(ref, rel, dt, trace=trace, start=start)
+                rel, state = step(ref, rel, dt, trace=trace, start=state)
             except StepRejected as exc:
                 trace.rejections.append((t, dt, exc.min_ahat, exc.min_bhat))
                 dt *= 0.5
@@ -331,6 +320,5 @@ def run(config):
                 continue
             trace.accepted += 1
             t = t_next if dt == remaining else t + dt
-        state = state_from_total(manifold, base + rel, _profiles=start)
         trace.records.append(_record(ref, state, t))
     return trace

@@ -27,7 +27,7 @@ from functools import cached_property
 import numpy as np
 
 from .calculus import cumulative_dx, d_ds, integrate_ds, over_xm
-from .errors import ExpressionMismatch, NotInPotentialSpace
+from .errors import DivergentIntegrand, ExpressionMismatch, NotInPotentialSpace
 from .geometry import (
     RadialForm,
     _potential_values,
@@ -98,8 +98,9 @@ def ricci_potential(state, normalization_offset=0.0):
 
     dh/dx = (B_ric - B)/(x(1-x)) is integrated from the midpoint outward;
     the additive constant comes in closed form from the two quadratures that
-    define the normalization. ``normalization_offset`` deliberately corrupts
-    the constant (mutation fixtures only).
+    define the normalization (DivergentIntegrand unless the weighted one is
+    positive and finite). ``normalization_offset`` deliberately corrupts the
+    constant (mutation fixtures only).
     """
     g = state.grid
     diff = state.ricci.b - state.form.b
@@ -112,6 +113,9 @@ def ricci_potential(state, normalization_offset=0.0):
     h_raw -= h_raw[g.size // 2]
     total = integrate_ds(state.density, g)
     weighted = integrate_ds(np.exp(h_raw) * state.density, g)
+    if not 0.0 < weighted < math.inf:
+        raise DivergentIntegrand(
+            f"normalizing integral of e^h against the volume is {weighted:.6g}, not in (0, inf)")
     return h_raw + (math.log(total / weighted) + normalization_offset)
 
 

@@ -29,12 +29,14 @@ from the factored formula
     B_ric = n - (n-1) [(1-x) + x(1-x) q'/q] - [(1-2x) + x(1-x) r'/r],
 
 which is endpoint-regular. ``_kernels.profiles`` is the one derivation of
-phi', B, r, q, Ahat, Bhat and the log volume ratio; the state build, the
-flow velocity and the flow's Jacobian all read it. The state build also
-derives the volume density n A B^(n-1) once, as ``MetricState.density``.
+B, r, q, Ahat, Bhat and the log volume ratio, and the one positivity test;
+the state build and the flow velocity call it. A ``MetricState`` derives the
+volume density n A B^(n-1) and the Ricci profile when first read, so a
+positivity test costs the profiles alone.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -126,15 +128,16 @@ class RadialPotential:
 
 @dataclass(frozen=True, eq=False)
 class MetricState:
-    """A validated positive metric with its cached profiles.
+    """A validated positive metric with its profiles.
 
     ``phi_total`` is the nodal potential relative to the background, ``form``
-    the metric profile pair, ``ricci`` the Ricci profile pair (``ricci_db``
-    its x-derivative, used for endpoint-regular curvature ratios). ``q`` and
-    ``r`` are the endpoint-regular factors described in the module docstring;
-    ``log_density`` is log of the volume ratio against the background and
-    ``density`` the reduced volume density ``wedge_density(form, n, form, n)``.
-    Immutable after construction and safe to share across threads.
+    the metric profile pair. ``q`` and ``r`` are the endpoint-regular factors
+    described in the module docstring; ``log_density`` is log of the volume
+    ratio against the background. Derived when first read: ``density``, the
+    reduced volume density ``wedge_density(form, n, form, n)``, and together
+    ``ricci``, the Ricci profile pair, and ``ricci_db``, its x-derivative (for
+    endpoint-regular curvature ratios). Immutable and safe to share across
+    threads: a derived value is cached, never changed.
     """
 
     config: ManifoldConfig
@@ -145,13 +148,33 @@ class MetricState:
     q: np.ndarray
     r: np.ndarray
     log_density: np.ndarray
-    density: np.ndarray
-    ricci: RadialForm
-    ricci_db: np.ndarray
 
     @property
     def grid(self):
         return self.config.grid
+
+    @cached_property
+    def density(self):
+        n = self.config.n
+        return wedge_density(self.form, n, self.form, n)
+
+    @cached_property
+    def _ricci(self):
+        g = self.grid
+        n = self.config.n
+        # at n = 1 the q term is exactly +-0 (q > 0) and 1 - (+-0) = 1: skip it
+        ric_q = n - (n - 1) * (g.omx + g.xm * d_dx(self.q, g) / self.q) if n > 1 else 1.0
+        b_ric = ric_q - ((1.0 - 2.0 * g.x) + g.xm * d_dx(self.r, g) / self.r)
+        db_ric = d_dx(b_ric, g)
+        return RadialForm(a=g.xm * db_ric, b=b_ric), db_ric
+
+    @property
+    def ricci(self):
+        return self._ricci[0]
+
+    @property
+    def ricci_db(self):
+        return self._ricci[1]
 
 
 def _potential_values(phi, grid):
@@ -165,44 +188,19 @@ def _potential_values(phi, grid):
     return values
 
 
-def state_from_total(config, phi_total, _profiles=None):
+def state_from_total(config, phi_total):
     """Build a MetricState from the total nodal potential (background-relative).
 
     One code path for polynomial-sampled and flow (nodal) states alike: all
     derivatives come from the fourth-order stencils, so every downstream
-    quantity converges at the same designed order. ``_profiles``, when
-    given, must be ``_kernels.profiles`` of exactly ``phi_total``; the flow
-    hands over the profiles its step already derived.
+    quantity converges at the same designed order. Raises
+    NotInPotentialSpace (with the minima) off the positive cone.
     """
     g = config.grid
-    n = config.n
     phi_total = _potential_values(phi_total, g)
-    p = _profiles
-    if p is None:
-        p = _kernels.profiles(phi_total, g, n)
-    if p.log_density is None:
-        raise NotInPotentialSpace(
-            f"metric not positive: min Ahat = {p.min_ahat:.6g}, min Bhat = {p.min_bhat:.6g}")
-
-    # at n = 1 the q term is exactly +-0 (q > 0) and 1 - (+-0) = 1: skip it
-    ric_q = n - (n - 1) * (g.omx + g.xm * d_dx(p.q, g) / p.q) if n > 1 else 1.0
-    b_ric = ric_q - ((1.0 - 2.0 * g.x) + g.xm * d_dx(p.r, g) / p.r)
-    db_ric = d_dx(b_ric, g)
-    form = RadialForm(a=g.xm * p.r, b=p.b)
-
-    return MetricState(
-        config=config,
-        phi_total=phi_total,
-        form=form,
-        ahat=p.ahat,
-        bhat=p.bhat,
-        q=p.q,
-        r=p.r,
-        log_density=p.log_density,
-        density=wedge_density(form, n, form, n),
-        ricci=RadialForm(a=g.xm * db_ric, b=b_ric),
-        ricci_db=db_ric,
-    )
+    p = _kernels.profiles(phi_total, g, config.n)
+    return MetricState(config=config, phi_total=phi_total, form=RadialForm(a=g.xm * p.r, b=p.b),
+                       ahat=p.ahat, bhat=p.bhat, q=p.q, r=p.r, log_density=p.log_density)
 
 
 def background(config):

@@ -7,6 +7,11 @@ from krflow.geometry import ManifoldConfig, RadialPotential, make_state
 from krflow.verification import DEFAULT_TOLERANCES
 
 BENT_COEFFS = (0.0, 0.2, 0.1)
+# an admissible n = 2 state on which, at N = 16, the quadrature of e^h
+# against the volume that normalizes the Ricci potential comes out at -1178.7
+COARSE_NEGATIVE_NORM = (1.8019894382475554, 0.32797387213837137, 1.6480510198850826,
+                        0.16857281684940828, -1.7551304400678869, 2.870998680508242,
+                        0.25743497744605204, -2.6372058528554945)
 
 
 @pytest.fixture(scope="session")

@@ -3,6 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import COARSE_NEGATIVE_NORM
 from krflow.cli import (
     _flow_config,
     _manifold,
@@ -291,6 +292,17 @@ def test_eval_rejects_inadmissible(tmp_path, capsys):
     assert main(["eval", "--config", config, "--phi", "0,-10"]) == 1
     err = capsys.readouterr().err
     assert "NotInPotentialSpace" in err
+
+
+def test_eval_reports_a_divergent_reference_as_an_error(tmp_path, capsys):
+    # an admissible reference whose Ricci potential cannot be normalized on
+    # its grid is a typed error (exit 1), not a configuration error
+    coeffs = ", ".join(repr(c) for c in COARSE_NEGATIVE_NORM)
+    config = _write(tmp_path, "eval.ini",
+                    f"[run]\nn = 2\ngrid_size = 16\n\n[reference]\ncoeffs = {coeffs}\n")
+    assert main(["eval", "--config", config, "--phi", "0"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "normalizing integral" in err
 
 
 def test_eval_residual_matches_constant(tmp_path, capsys):

@@ -13,7 +13,7 @@ import krflow
 from conftest import flow_gate_failures
 from krflow import _kernels, banded, flow
 from krflow.calculus import HALF_BAND, build_grid
-from krflow.errors import ConfigError, FlowAborted, KrflowError, StepRejected
+from krflow.errors import ConfigError, FlowAborted, KrflowError, NotInPotentialSpace, StepRejected
 from krflow.flow import (
     FlowConfig,
     TRACE_COLUMNS,
@@ -39,7 +39,7 @@ from krflow.geometry import (
 
 ZERO = RadialPotential((0.0,))
 TILT = RadialPotential((0.0, 0.2))
-# the positivity minima the patched velocity kernel reports (see _cone_exit)
+# the positivity minima the patched velocity kernel raises with (see _cone_exit)
 FAILED_MINS = (-0.5, 0.25)
 
 
@@ -124,10 +124,10 @@ def test_step_accuracy_at_record_spacing():
 
 
 def _cone_exit(monkeypatch, start, stop, longest=0.0):
-    """Make the velocity kernel report a cone exit (min Ahat and min Bhat
+    """Make the velocity kernel raise a cone exit (min Ahat and min Bhat
     FAILED_MINS) in every step longer than ``longest`` that overlaps the
     flow-time window (start, stop). A step calls the kernel at its stage
-    only (f0 comes from the start's handed-over profiles), so the step is
+    only (f0 comes from the start's handed-over state), so the step is
     rejected after its factorization. Flow time is the sum of the steps that
     ``flow.step`` accepted, as ``run`` takes them. A step counts as longer
     only beyond the relative slack 1e-9 that ``run``'s landing rule allows,
@@ -144,9 +144,7 @@ def _cone_exit(monkeypatch, start, stop, longest=0.0):
     def velocity(*args):
         t, dt = clock["t"], clock["dt"]
         if dt > longest * (1.0 + 1e-9) and t < stop and t + dt > start:
-            min_ahat, min_bhat = FAILED_MINS
-            profiles = real_velocity(*args)[1]
-            return None, profiles._replace(min_ahat=min_ahat, min_bhat=min_bhat)
+            raise NotInPotentialSpace("patched cone exit", *FAILED_MINS)
         return real_velocity(*args)
 
     monkeypatch.setattr(flow, "step", timed_step)
@@ -163,8 +161,8 @@ def test_step_rejects_large_dt(small_config, monkeypatch):
     # the explicit RK4 reference integrator leaves the cone at dt = 1e3
     g = small_config.grid
     total = ref.state.phi_total + TILT.values(g)
-    out, ok = _kernels.rk4_step(total, 1e3, _shift_profile(ref), g, 1)
-    assert out is None and not ok
+    with pytest.raises(NotInPotentialSpace):
+        _kernels.rk4_step(total, 1e3, _shift_profile(ref), g, 1)
     _cone_exit(monkeypatch, 0.0, 1.0)
     with pytest.raises(StepRejected) as info:
         flow.step(ref, TILT, 100.0)
@@ -174,16 +172,14 @@ def test_step_rejects_large_dt(small_config, monkeypatch):
 
 @pytest.mark.parametrize("n", (1, 2, 3))
 def test_step_hands_off_its_profiles(n, monkeypatch):
-    # each accepted step returns the profiles of the array the run continues
-    # from, bitwise those of a fresh derivation, and the run hands them to
-    # the next step and to the record's state build. The first step starts
+    # each accepted step returns the state, with its profiles, of the array
+    # the run continues from, bitwise that of a fresh build, and the run
+    # hands it to the next step and to the record. The first step starts
     # from the initial state; the second is rejected once at its stage, and
-    # its retry starts from the same profiles
+    # its retry starts from the same state
     config = ManifoldConfig(n=n, grid=build_grid(128))
-    g = config.grid
-    calls, builds = [], []
-    real_step, real_velocity = flow.step, _kernels.velocity
-    real_build = flow.state_from_total
+    calls, recorded = [], []
+    real_step, real_velocity, real_record = flow.step, _kernels.velocity, flow._record
 
     def spy(ref, phi, dt, *args, start=None, **kwargs):
         calls.append({"ref": ref, "start": start, "out": None})
@@ -191,34 +187,40 @@ def test_step_hands_off_its_profiles(n, monkeypatch):
         return calls[-1]["out"]
 
     def velocity(*args):
-        out, p = real_velocity(*args)
-        return (None, p) if len(calls) == 2 and calls[-1]["out"] is None else (out, p)
+        if len(calls) == 2 and calls[-1]["out"] is None:
+            raise NotInPotentialSpace("patched cone exit", *FAILED_MINS)
+        return real_velocity(*args)
 
-    def build(config, phi_total, _profiles=None):
-        builds.append(_profiles)
-        return real_build(config, phi_total, _profiles=_profiles)
+    def record(ref, state, t):
+        recorded.append(state)
+        return real_record(ref, state, t)
 
     monkeypatch.setattr(flow, "step", spy)
     monkeypatch.setattr(_kernels, "velocity", velocity)
-    monkeypatch.setattr(flow, "state_from_total", build)
+    monkeypatch.setattr(flow, "_record", record)
     trace = run(FlowConfig(manifold=config, initial=TILT, t_max=0.05, record_every=100,
                            dt_init=1e-4, reference=RadialPotential((0.0, 0.2, 0.1))))
     assert trace.rejected == 1 and calls[1]["out"] is None
     assert trace.accepted == len(calls) - 1 > 3
-    assert isinstance(calls[0]["start"], MetricState) and builds[0] is None
+    assert isinstance(calls[0]["start"], MetricState) and calls[0]["start"] is recorded[0]
     assert calls[2]["start"] is calls[1]["start"] is calls[0]["out"][1]
     accepted = [c for c in calls if c["out"] is not None]
     for prev, cur in zip(accepted, accepted[1:]):
         assert cur["start"] is prev["out"][1]
-    # one state build per later record, each from the profiles of a step
+    # each later record reads the state of a step
     handed = {id(c["out"][1]) for c in accepted}
-    assert len(builds) == len(trace.records)
-    assert all(id(b) in handed for b in builds[1:])
+    assert len(recorded) == len(trace.records)
+    assert all(id(state) in handed for state in recorded[1:])
     for call in accepted:
         rel, returned = call["out"]
-        fresh = _kernels.profiles(call["ref"].state.phi_total + rel, g, n)
-        for name, value in returned._asdict().items():
-            assert np.array_equal(value, getattr(fresh, name)), name
+        fresh = state_from_total(config, call["ref"].state.phi_total + rel)
+        for name in ("phi_total", "ahat", "bhat", "q", "r", "log_density", "density",
+                     "ricci_db"):
+            assert np.array_equal(getattr(returned, name), getattr(fresh, name)), name
+        for form in ("form", "ricci"):
+            for part in ("a", "b"):
+                assert np.array_equal(getattr(getattr(returned, form), part),
+                                      getattr(getattr(fresh, form), part)), (form, part)
 
 
 def test_landed_interval_derives_profiles_twice(monkeypatch):
@@ -383,7 +385,7 @@ def _fd_jacobian(ref, phi, h=1e-6):
         for sign in (1.0, -1.0):
             probe = total.copy()
             probe[i] += sign * h
-            cols.append(_kernels.velocity(probe, shift, g, ref.config.n)[0])
+            cols.append(_kernels.velocity(probe, shift, g, ref.config.n))
         jac[:, i] = (cols[0] - cols[1]) / (2.0 * h)
     return jac, total
 
@@ -649,9 +651,7 @@ def test_ros2_matches_rk4(n):
                  shape=(g.size + 1, g.size + 1))
 
     def velocity(t, total):
-        out, _ = _kernels.velocity(total, shift, g, n)
-        assert out is not None
-        return out
+        return _kernels.velocity(total, shift, g, n)
 
     solution = solve_ivp(velocity, (0.0, times[-1]), ref.state.phi_total + TILT.values(g),
                          method="Radau", t_eval=times, rtol=1e-11, atol=1e-13,

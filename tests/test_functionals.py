@@ -1,13 +1,15 @@
 import ast
 import dataclasses
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from conftest import COARSE_NEGATIVE_NORM
 from krflow import flow, functionals, geometry
 from krflow.calculus import build_grid, d_ds, integrate_ds
-from krflow.errors import ExpressionMismatch, NotInPotentialSpace
+from krflow.errors import DivergentIntegrand, ExpressionMismatch, KrflowError, NotInPotentialSpace
 from krflow.functionals import (
     Energies,
     c_omega_estimate,
@@ -79,10 +81,59 @@ def test_ricci_potential_normalization(bent_ref1):
 def test_ricci_potential_rejects_bad_endpoints(bent_ref1):
     state = bent_ref1.state
     from krflow.geometry import RadialForm
-    doctored = dataclasses.replace(
-        state, ricci=RadialForm(a=state.ricci.a, b=state.ricci.b + 1.0))
+    # a copy of the state whose Ricci profile, derived when first read, is
+    # preset to one that misses the endpoint condition
+    doctored = dataclasses.replace(state)
+    doctored.__dict__["_ricci"] = (RadialForm(a=state.ricci.a, b=state.ricci.b + 1.0),
+                                   state.ricci_db)
     with pytest.raises(NotInPotentialSpace):
         ricci_potential(doctored)
+
+
+def test_ricci_potential_rejects_a_nonpositive_normalization():
+    # a coarse grid can make the normalizing quadrature of an admissible
+    # state negative: a typed error, not a math domain error
+    cfg = ManifoldConfig(n=2, grid=build_grid(16))
+    state = make_state(cfg, RadialPotential(COARSE_NEGATIVE_NORM))
+    with pytest.raises(DivergentIntegrand, match=r"is -1178\.69,"):
+        ricci_potential(state)
+
+
+def _finite_or_typed(label, entry):
+    """``entry()``'s values are all finite, or it raises a KrflowError."""
+    try:
+        values = entry()
+    except KrflowError:
+        return
+    assert all(np.all(np.isfinite(v)) for v in values), label
+
+
+def test_public_entry_points_at_the_cone_boundary():
+    # seeded candidates with coefficients far beyond the sampler's, many of
+    # them near the edge of the positive cone and on coarse grids: at every
+    # admissible state each public entry point returns finite values or
+    # raises a KrflowError (about 1,150 states in 6,000 candidates)
+    rng = np.random.default_rng(20240901)
+    configs = {}
+    small = RadialPotential((0.0, 0.01, -0.005))
+    admissible = 0
+    for _ in range(6000):
+        n, size = int(rng.integers(1, 4)), int(rng.choice((16, 32, 64)))
+        coeffs = rng.uniform(-3.0, 3.0, 9)
+        cfg = configs.setdefault((n, size), ManifoldConfig(n=n, grid=build_grid(size)))
+        try:
+            state = make_state(cfg, RadialPotential(coeffs))
+        except NotInPotentialSpace:
+            continue
+        admissible += 1
+        label = (n, size, coeffs.tolist())
+        for entry in (lambda: (state.ahat, state.bhat, state.log_density, state.density),
+                      lambda: (scalar_curvature(state),),
+                      lambda: (futaki_of_state(state),),
+                      lambda: attrgetter("h", "c0", "c1")(make_reference(state)),
+                      lambda: dataclasses.astuple(evaluate(make_reference(state), small))):
+            _finite_or_typed(label, entry)
+    assert admissible > 1000
 
 
 def test_j_energy_zero_and_constant(fs_ref1):
@@ -381,15 +432,17 @@ def test_evaluate_report(rng, monkeypatch):
                 report, wedges, averages = tally(lambda: evaluate(ref, phi))
                 at_ref = tally(lambda: c_omega_estimate(ref))[1:]
                 at_record = tally(lambda: flow._record(ref, state, 0.0))[1:]
-            # each quantity is taken once. Wedges: the state build's volume
-            # density, the n - 1 inner wedges and E1's entropy density; the
-            # outer two wedges are the state's and the reference's volume
-            # densities. Averages: the n + 1 mixed ones, n for J's gradient
-            # form and one each for nu, E1 and the Dirichlet term. The
-            # reference's own state and a flow record's state are built
-            # already, and neither reads J; a record adds the Futaki invariant
+            # each quantity is taken once. Wedges: the state's volume density,
+            # the n - 1 inner wedges and E1's entropy density; the outer two
+            # wedges are the state's and the reference's volume densities.
+            # Averages: the n + 1 mixed ones, n for J's gradient form and one
+            # each for nu, E1 and the Dirichlet term. Neither the reference's
+            # own state nor a flow record's state reads J; the reference's
+            # volume density was read when it was made, the record's state
+            # derives its own on first read, and a record adds the Futaki
+            # invariant
             assert (wedges, averages) == (n + 1, 2 * n + 4), n
-            assert at_ref == (n, n + 4) and at_record == (n, n + 5), n
+            assert at_ref == (n, n + 4) and at_record == (n + 1, n + 5), n
             assert report.j == j_energy(ref, phi)
             assert report.nu == Energies.at(ref, phi).nu
             assert report.e1 == Energies.at(ref, phi).e1

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from krflow import _kernels
+from krflow import _kernels, geometry
 from krflow.calculus import build_grid, d_ds, d_dx, integrate_ds
 from krflow.errors import ConfigError, NotInPotentialSpace
 from krflow.geometry import (
@@ -59,11 +59,12 @@ def test_make_state_rejects_steep_potential(config1):
     with pytest.raises(NotInPotentialSpace) as err:
         make_state(config1, RadialPotential((0.0, -10.0)))
     assert "not positive" in str(err.value)
-    # the profiles behind the state build flag the same state
+    assert min(err.value.min_ahat, err.value.min_bhat) <= 0.0
+    # the profiles behind the state build reject the same state
     g = config1.grid
-    p = _kernels.profiles(-10.0 * g.x, g, 1)
-    assert p.log_density is None
-    assert min(p.min_ahat, p.min_bhat) <= 0.0
+    with pytest.raises(NotInPotentialSpace) as err:
+        _kernels.profiles(-10.0 * g.x, g, 1)
+    assert min(err.value.min_ahat, err.value.min_bhat) <= 0.0
 
 
 def test_potential_degree_cap():
@@ -276,6 +277,34 @@ def test_sampler_determinism_and_margin(config1):
     for phi in a:
         state = make_state(config1, phi)
         assert min(state.ahat.min(), state.bhat.min()) >= 0.3
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_sampler_tries_derive_only_their_profiles(n, grid256, monkeypatch):
+    # a try is a positivity test: its state build derives the profiles (two
+    # stencil derivatives) and neither the volume density nor the Ricci
+    # profile, with or without a base state
+    config = ManifoldConfig(n=n, grid=grid256)
+    base = make_state(config, RadialPotential((0.0, 0.2, 0.1)))
+    counts = {"tries": 0, "wedge_density": 0, "d_dx": 0}
+
+    def counted(module, name, key):
+        real = getattr(module, name)
+
+        def wrapper(*args):
+            counts[key] += 1
+            return real(*args)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(geometry, "make_state", "tries")
+    counted(geometry, "state_from", "tries")
+    counted(geometry, "wedge_density", "wedge_density")
+    counted(geometry, "d_dx", "d_dx")
+    counted(_kernels, "d_dx", "d_dx")
+    rng = np.random.default_rng(7)
+    drawn = sample_admissible(config, rng, 4) + sample_admissible(config, rng, 4, base=base)
+    assert len(drawn) == 8 and counts["tries"] >= 8
+    assert counts == {"tries": counts["tries"], "wedge_density": 0, "d_dx": 2 * counts["tries"]}
 
 
 def test_potential_arithmetic(grid256):
