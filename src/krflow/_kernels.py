@@ -7,14 +7,26 @@ total potential and the one positivity test; the state build and the flow
 velocity call it (a ``MetricState`` derives its density and Ricci profile
 when first read). Every kernel takes the ``calculus.Grid`` it works on and
 reads its spacing and node profiles from it; values are float64 arrays over
-the full node set (N+1 values including both endpoints).
+the full node set (N+1 values including both endpoints), and ``nodal`` is
+the one check of that shape.
 """
 
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NotInPotentialSpace
+from .errors import ConfigError, DivergentIntegrand, NotInPotentialSpace
+
+
+def nodal(values, grid):
+    """``values`` as a contiguous float64 array with one value per node of
+    ``grid``: the one shape check of every nodal array the package is handed.
+    Raises ConfigError for any other shape."""
+    f = np.ascontiguousarray(values, dtype=np.float64)
+    if f.shape != (grid.size + 1,):
+        raise ConfigError(f"nodal array of shape {f.shape} does not match the grid's "
+                          f"{grid.size + 1} nodes")
+    return f
 
 
 def d_dx(values, grid):
@@ -27,12 +39,12 @@ def d_dx(values, grid):
     floats: the same IEEE operations in the same order as on numpy scalars,
     so the bits are unchanged, at a fraction of the per-operation overhead.
     """
-    f = np.ascontiguousarray(values, dtype=np.float64)
-    if f.shape != (grid.size + 1,):
-        raise ValueError(f"profile shape {f.shape} does not match grid with {grid.size + 1} nodes")
+    f = nodal(values, grid)
     m = f.shape[0]
     if m < 6:
-        raise ValueError("d_dx needs at least 6 nodes")
+        raise ConfigError("d_dx needs at least 6 nodes")
+    if not np.isfinite(f).all():
+        raise DivergentIntegrand("profile to differentiate has a non-finite node")
     out = np.empty(m, dtype=np.float64)
     # difference form (node values minus an anchor) so constants are
     # annihilated exactly in floating point
@@ -68,9 +80,13 @@ class Profiles(NamedTuple):
 def profiles(total, grid, n):
     """Profiles of the metric with the background-relative potential
     ``total``. Raises NotInPotentialSpace, with the minima of Ahat and Bhat,
-    when the state leaves the positive cone."""
+    when the state leaves the positive cone, and without them when ``total``
+    has a non-finite node."""
     np1 = n + 1.0
-    u = d_dx(total, grid)
+    try:
+        u = d_dx(total, grid)
+    except DivergentIntegrand as exc:
+        raise NotInPotentialSpace("potential has non-finite nodal values") from exc
     b = np1 * grid.x + grid.xm * u
     r = d_dx(b, grid)
     q = np1 + grid.omx * u

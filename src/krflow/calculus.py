@@ -16,12 +16,13 @@ All operations are pure functions of their inputs; profiles are plain float64
 arrays with one value per node and are never mutated.
 """
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
-from ._kernels import d_dx
+from ._kernels import d_dx, nodal
 from .errors import ConfigError, DivergentIntegrand
 
 MIN_SIZE = 16
@@ -69,13 +70,6 @@ def build_grid(size):
     return Grid(size=n, dx=dx, x=x, xm=xm, omx=omx, quad_weights=w)
 
 
-def _check_shape(values, grid):
-    f = np.asarray(values, dtype=np.float64)
-    if f.shape != (grid.size + 1,):
-        raise ValueError(f"profile shape {f.shape} does not match grid with {grid.size + 1} nodes")
-    return f
-
-
 def d_ds(values, grid):
     """Derivative in s = log(x/(1-x)): x(1-x) d/dx; zero at both endpoints."""
     return grid.xm * d_dx(values, grid)
@@ -88,7 +82,7 @@ def over_xm(values, grid):
     quintic extrapolation of the six nearest interior quotients, on Python
     floats (the same operations as on numpy scalars, so the same bits).
     """
-    f = _check_shape(values, grid)
+    f = nodal(values, grid)
     g = np.empty_like(f)
     np.divide(f[1:-1], grid.xm[1:-1], out=g[1:-1])
     g1, g2, g3, g4, g5, g6 = g[1:7].tolist()
@@ -103,14 +97,18 @@ def integrate_ds(values, grid):
 
     The integrand (``over_xm``) is fed to the composite rule. Raises
     DivergentIntegrand unless both extrapolated endpoint values are finite
-    and within ``ENDPOINT_BOUND`` (else the integral almost surely diverges).
+    and within ``ENDPOINT_BOUND`` (else the integral almost surely diverges)
+    and the quadrature is finite, which a non-finite interior node is not.
     """
     g = over_xm(values, grid)
     lo, hi = float(g[0]), float(g[-1])
     if not (abs(lo) <= ENDPOINT_BOUND and abs(hi) <= ENDPOINT_BOUND):
         raise DivergentIntegrand(
             f"extrapolated endpoint values ({lo:.3e}, {hi:.3e}) exceed bound {ENDPOINT_BOUND:.1e}")
-    return float(grid.quad_weights @ g)
+    total = float(grid.quad_weights @ g)
+    if not math.isfinite(total):
+        raise DivergentIntegrand(f"quadrature of the integrand is {total}")
+    return total
 
 
 def cumulative_dx(values, grid):
@@ -119,7 +117,7 @@ def cumulative_dx(values, grid):
     Derivative-corrected trapezoid per panel: the correction term uses the
     stencil derivative, giving global O(dx^4) accuracy.
     """
-    w = _check_shape(values, grid)
+    w = nodal(values, grid)
     dw = d_dx(w, grid)
     h = grid.dx
     panels = 0.5 * h * (w[:-1] + w[1:]) - (h * h / 12.0) * (dw[1:] - dw[:-1])

@@ -243,7 +243,7 @@ def main(argv=None):
             return cmd_flow(args.config, args.out)
         if args.command == "eval":
             return cmd_eval(args.config, args.phi)
-    except (ConfigError, ValueError, OSError, configparser.Error) as exc:
+    except (ValueError, OSError, configparser.Error) as exc:  # ConfigError is a ValueError
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except KrflowError as exc:

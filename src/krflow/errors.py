@@ -5,8 +5,9 @@ class KrflowError(Exception):
     """Base class for all package errors."""
 
 
-class ConfigError(KrflowError):
-    """Invalid grid size, dimension, or run configuration."""
+class ConfigError(KrflowError, ValueError):
+    """Invalid grid size, dimension or run configuration, or a nodal array of
+    the wrong shape for its grid; also a ValueError, like any bad argument."""
 
 
 class NotInPotentialSpace(KrflowError):
@@ -24,8 +25,8 @@ class ExpressionMismatch(KrflowError):
 
 
 class DivergentIntegrand(KrflowError):
-    """An integrand's endpoint extrapolation exceeded the magnitude bound, or
-    a quadrature that must be positive and finite is not."""
+    """A non-finite or out-of-bound value where an integral or a derivative
+    needs a finite one: an extrapolated endpoint, a quadrature or a node."""
 
 
 class StepRejected(NotInPotentialSpace):

@@ -13,12 +13,13 @@ band assembled at the step's start state from the grid's operator bands
 banded routines from numpy's own OpenBLAS (``banded``); an exactly singular
 M rejects the step like a cone exit.
 
-Each accepted state's metric profiles are derived once. A step builds the
-``MetricState`` of the array the run continues from (its positivity check)
-and returns it; ``run`` hands it to the next step, which reads f0 and the
-Jacobian off it, and at a record time to the record, whose reads derive the
-state's density and Ricci profile. Only the stage's profiles are derived
-besides, inside the velocity kernel.
+A step takes a ``MetricState`` and returns one, so each accepted state's
+metric profiles are derived once: ``run`` validates the initial data into
+the first state, each step builds the state of its result (its positivity
+check), and ``run`` hands that state to the next step, which reads f0 and
+the Jacobian off it, and at a record time to the record, whose reads derive
+the state's density and Ricci profile. Only the stage's profiles are
+derived besides, inside the velocity kernel.
 
 Records fall on a time grid: record k sits at t = k * record_every * dt0,
 where dt0 is ``_stable_dt`` at the initial state, or ``dt_init`` when that
@@ -51,13 +52,7 @@ from .functionals import (
     futaki_of_state,
     make_reference,
 )
-from .geometry import (
-    ManifoldConfig,
-    _potential_values,
-    make_state,
-    scalar_curvature,
-    state_from_total,
-)
+from .geometry import ManifoldConfig, make_state, scalar_curvature, state_from, state_from_total
 
 TRACE_COLUMNS = ("t", "nu", "e1", "dirichlet", "residual",
                  "scal_min", "scal_max", "futaki", "min_Ahat", "min_Bhat")
@@ -209,23 +204,21 @@ def _shift_profile(ref):
     return ref.state.log_density + ref.state.phi_total + ref.h
 
 
-def step(ref, phi, dt, trace=None, start=None):
-    """One ROS2 step from the relative potential ``phi``.
+def step(ref, state, dt, trace=None):
+    """One ROS2 step of the flow relative to ``ref`` from the ``MetricState``
+    ``state``: the run's initial state or the one a previous step returned.
 
-    ``start`` is the ``MetricState`` of ``ref.state.phi_total + phi`` (the
-    state a previous step returned), built when omitted; f0 and the step
-    matrix are read off its profiles. The result is re-zeroed at the
-    midpoint. Returns ``(rel, state)``: the new relative potential as a nodal
-    array and the ``MetricState`` of its total potential. With a ``trace``,
-    the step adds its velocity evaluations and factorization to it. Raises
-    StepRejected when the start state, the stage or the result leaves the
-    positive cone (with the minima) or the step matrix is exactly singular;
-    the caller is expected to halve dt and retry.
+    f0 and the step matrix are read off the state's profiles. Returns the
+    ``MetricState`` of the result, whose potential relative to ``ref`` is
+    re-zeroed at the midpoint. With a ``trace``, the step adds its velocity
+    evaluations and factorization to it. Raises StepRejected when the stage
+    or the result leaves the positive cone (with the minima) or the step
+    matrix is exactly singular; the caller is expected to halve dt and retry
+    from the same state.
     """
     g = ref.grid
     config = ref.config
     base = ref.state.phi_total
-    total = base + _potential_values(phi, g)
     shift = _shift_profile(ref)
 
     def velocity(values):
@@ -234,24 +227,22 @@ def step(ref, phi, dt, trace=None, start=None):
         return _kernels.velocity(values, shift, g, config.n)
 
     try:
-        if start is None:
-            start = state_from_total(config, total)
         if trace is not None:
             trace.velocity_evals += 1
-        f0 = start.log_density + total
+        f0 = state.log_density + state.phi_total
         f0 -= shift
-        system = _jacobian_band(config, start)
+        system = _jacobian_band(config, state)
         system *= -_GAMMA * dt
         system[:, HALF_BAND] += 1.0
         factored = banded.factor(system)
         if trace is not None:
             trace.factorizations += 1
-        rel = _ros2(velocity, partial(banded.solve, factored), total, f0, dt) - base
+        rel = _ros2(velocity, partial(banded.solve, factored), state.phi_total, f0, dt) - base
         # the constant mode grows like e^t and is pure gauge (every recorded
         # functional is shift invariant); left alone it reaches ~1e3 by t ~ 10
         # and its stencil roundoff pollutes the derivative-heavy record columns
         rel = rel - rel[g.size // 2]
-        return rel, state_from_total(config, base + rel)
+        return state_from_total(config, base + rel)
     except np.linalg.LinAlgError as exc:
         raise StepRejected(f"step matrix singular at dt = {dt:.3e} ({exc})") from exc
     except NotInPotentialSpace as exc:
@@ -282,14 +273,11 @@ def run(config):
     t = k * record_every * dt0 (plus the initial and final states), one
     record interval at a time."""
     manifold = config.manifold
-    g = manifold.grid
     if config.reference is None:
         ref = fubini_study_reference(manifold)
     else:
         ref = make_reference(make_state(manifold, config.reference))
-    base = ref.state.phi_total
-    rel = _potential_values(config.initial, g)
-    state = state_from_total(manifold, base + rel)  # validates the initial data
+    state = state_from(ref.state, config.initial)  # validates the initial data
 
     trace = FlowTrace(c_omega=c_omega_estimate(ref))
     trace.records.append(_record(ref, state, 0.0))
@@ -311,7 +299,7 @@ def run(config):
             if remaining <= dt * (1.0 + 1e-9):
                 dt = remaining
             try:
-                rel, state = step(ref, rel, dt, trace=trace, start=state)
+                state = step(ref, state, dt, trace=trace)
             except StepRejected as exc:
                 trace.rejections.append((t, dt, exc.min_ahat, exc.min_bhat))
                 dt *= 0.5

@@ -180,12 +180,7 @@ class MetricState:
 def _potential_values(phi, grid):
     if isinstance(phi, RadialPotential):
         return phi.values(grid)
-    values = np.asarray(phi, dtype=np.float64)
-    if values.shape != (grid.size + 1,):
-        raise ValueError("nodal potential does not match the grid")
-    if not np.all(np.isfinite(values)):
-        raise NotInPotentialSpace("potential has non-finite nodal values")
-    return values
+    return _kernels.nodal(phi, grid)
 
 
 def state_from_total(config, phi_total):
@@ -194,7 +189,8 @@ def state_from_total(config, phi_total):
     One code path for polynomial-sampled and flow (nodal) states alike: all
     derivatives come from the fourth-order stencils, so every downstream
     quantity converges at the same designed order. Raises
-    NotInPotentialSpace (with the minima) off the positive cone.
+    NotInPotentialSpace off the positive cone (with the minima) or at a
+    non-finite node, and ConfigError for an array of the wrong length.
     """
     g = config.grid
     phi_total = _potential_values(phi_total, g)

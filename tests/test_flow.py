@@ -34,6 +34,7 @@ from krflow.geometry import (
     RadialPotential,
     background,
     make_state,
+    state_from,
     state_from_total,
 )
 
@@ -97,10 +98,12 @@ def test_step_richardson_order(small_config):
     ref = fubini_study_reference(small_config)
     g = small_config.grid
     phi = TILT.values(g)
+    start = state_from(ref.state, phi)
     v = Energies.at(ref, TILT).velocity
     gaps = []
     for dt in (1e-3, 5e-4):
-        updated, _ = step(ref, phi, dt)
+        # the Fubini-Study base is 0, so this is the relative potential exactly
+        updated = step(ref, start, dt).phi_total - ref.state.phi_total
         euler = phi + dt * v
         gaps.append(np.abs(updated - (euler - euler[g.size // 2])).max())
     ratio = gaps[0] / gaps[1]
@@ -135,9 +138,9 @@ def _cone_exit(monkeypatch, start, stop, longest=0.0):
     clock = {"t": 0.0, "dt": 0.0}
     real_step, real_velocity = flow.step, _kernels.velocity
 
-    def timed_step(ref, phi, dt, *args, **kwargs):
+    def timed_step(ref, state, dt, *args, **kwargs):
         clock["dt"] = dt
-        out = real_step(ref, phi, dt, *args, **kwargs)
+        out = real_step(ref, state, dt, *args, **kwargs)
         clock["t"] += dt
         return out
 
@@ -156,8 +159,8 @@ def test_step_rejects_large_dt(small_config, monkeypatch):
     # cone. Inside a window where the velocity kernel reports a cone exit,
     # the same step raises StepRejected with the minima that failed
     ref = fubini_study_reference(small_config)
-    out, _ = step(ref, TILT, 100.0)
-    assert make_state(small_config, out).ahat.min() > 0.0
+    start = make_state(small_config, TILT)
+    assert step(ref, start, 100.0).ahat.min() > 0.0
     # the explicit RK4 reference integrator leaves the cone at dt = 1e3
     g = small_config.grid
     total = ref.state.phi_total + TILT.values(g)
@@ -165,7 +168,7 @@ def test_step_rejects_large_dt(small_config, monkeypatch):
         _kernels.rk4_step(total, 1e3, _shift_profile(ref), g, 1)
     _cone_exit(monkeypatch, 0.0, 1.0)
     with pytest.raises(StepRejected) as info:
-        flow.step(ref, TILT, 100.0)
+        flow.step(ref, start, 100.0)
     assert (info.value.min_ahat, info.value.min_bhat) == FAILED_MINS
     assert "min Ahat -0.5" in str(info.value)
 
@@ -181,9 +184,9 @@ def test_step_hands_off_its_profiles(n, monkeypatch):
     calls, recorded = [], []
     real_step, real_velocity, real_record = flow.step, _kernels.velocity, flow._record
 
-    def spy(ref, phi, dt, *args, start=None, **kwargs):
-        calls.append({"ref": ref, "start": start, "out": None})
-        calls[-1]["out"] = real_step(ref, phi, dt, *args, start=start, **kwargs)
+    def spy(ref, state, dt, *args, **kwargs):
+        calls.append({"start": state, "out": None})
+        calls[-1]["out"] = real_step(ref, state, dt, *args, **kwargs)
         return calls[-1]["out"]
 
     def velocity(*args):
@@ -203,17 +206,17 @@ def test_step_hands_off_its_profiles(n, monkeypatch):
     assert trace.rejected == 1 and calls[1]["out"] is None
     assert trace.accepted == len(calls) - 1 > 3
     assert isinstance(calls[0]["start"], MetricState) and calls[0]["start"] is recorded[0]
-    assert calls[2]["start"] is calls[1]["start"] is calls[0]["out"][1]
+    assert calls[2]["start"] is calls[1]["start"] is calls[0]["out"]
     accepted = [c for c in calls if c["out"] is not None]
     for prev, cur in zip(accepted, accepted[1:]):
-        assert cur["start"] is prev["out"][1]
+        assert cur["start"] is prev["out"]
     # each later record reads the state of a step
-    handed = {id(c["out"][1]) for c in accepted}
+    handed = {id(c["out"]) for c in accepted}
     assert len(recorded) == len(trace.records)
     assert all(id(state) in handed for state in recorded[1:])
     for call in accepted:
-        rel, returned = call["out"]
-        fresh = state_from_total(config, call["ref"].state.phi_total + rel)
+        returned = call["out"]
+        fresh = state_from_total(config, returned.phi_total)
         for name in ("phi_total", "ahat", "bhat", "q", "r", "log_density", "density",
                      "ricci_db"):
             assert np.array_equal(getattr(returned, name), getattr(fresh, name)), name

@@ -8,8 +8,14 @@ import pytest
 
 from conftest import COARSE_NEGATIVE_NORM
 from krflow import flow, functionals, geometry
-from krflow.calculus import build_grid, d_ds, integrate_ds
-from krflow.errors import DivergentIntegrand, ExpressionMismatch, KrflowError, NotInPotentialSpace
+from krflow.calculus import build_grid, cumulative_dx, d_ds, d_dx, integrate_ds
+from krflow.errors import (
+    ConfigError,
+    DivergentIntegrand,
+    ExpressionMismatch,
+    KrflowError,
+    NotInPotentialSpace,
+)
 from krflow.functionals import (
     Energies,
     c_omega_estimate,
@@ -34,6 +40,7 @@ from krflow.geometry import (
     make_state,
     sample_admissible,
     scalar_curvature,
+    state_from,
     wedge_density,
 )
 
@@ -481,18 +488,74 @@ def test_fubini_study_orbit_oracle(n):
 
 def test_energy_weighting_stays_in_functionals():
     # which averages each energy weights, and with which coefficients, is
-    # decided in functionals alone: the flow and the suite read its public
-    # names and no private one
+    # decided in functionals alone, and how a potential becomes a checked
+    # nodal array in geometry alone: the flow and the suite read the public
+    # names of both and no private one
     package = Path(functionals.__file__).parent
+    owners = ("functionals", "geometry")
     for module in ("flow.py", "verification.py"):
         tree = ast.parse((package / module).read_text())
         private = [alias.name for node in ast.walk(tree)
-                   if isinstance(node, ast.ImportFrom) and node.module == "functionals"
+                   if isinstance(node, ast.ImportFrom) and node.module in owners
                    for alias in node.names if alias.name.startswith("_")]
         private += [node.attr for node in ast.walk(tree)
                     if isinstance(node, ast.Attribute) and node.attr.startswith("_")
-                    and isinstance(node.value, ast.Name) and node.value.id == "functionals"]
+                    and isinstance(node.value, ast.Name) and node.value.id in owners]
         assert not private, (module, private)
+
+
+@pytest.fixture(scope="module")
+def nodal_entry_points():
+    """Each public entry point that takes a nodal array, as a one-argument
+    call and the error a non-finite node raises there: NotInPotentialSpace
+    where the array is a potential, DivergentIntegrand where it is a profile
+    to differentiate or integrate."""
+    config = ManifoldConfig(n=2, grid=build_grid(64))
+    g = config.grid
+    ref = fubini_study_reference(config)
+    state = ref.state
+    potentials = {
+        "make_state": lambda v: make_state(config, v),
+        "state_from": lambda v: state_from(state, v),
+        "evaluate": lambda v: evaluate(ref, v),
+        "Energies.at": lambda v: Energies.at(ref, v),
+        "j_energy": lambda v: j_energy(ref, v),
+        "run": lambda v: flow.run(flow.FlowConfig(manifold=config, initial=v, t_max=0.01)),
+    }
+    integrands = {
+        "d_dx": lambda v: d_dx(v, g),
+        "d_ds": lambda v: d_ds(v, g),
+        "integrate_ds": lambda v: integrate_ds(v, g),
+        "average": lambda v: average(v, config),
+        "cumulative_dx": lambda v: cumulative_dx(v, g),
+        "laplacian": lambda v: laplacian(state, v),
+        "dirichlet": lambda v: dirichlet(state, v),
+    }
+    points = {name: (call, NotInPotentialSpace) for name, call in potentials.items()}
+    points.update((name, (call, DivergentIntegrand)) for name, call in integrands.items())
+    return g, points
+
+
+@pytest.mark.parametrize("name", ["make_state", "state_from", "evaluate", "Energies.at",
+                                  "j_energy", "run", "d_dx", "d_ds", "integrate_ds", "average",
+                                  "cumulative_dx", "laplacian", "dirichlet"])
+def test_malformed_nodal_input_raises_typed_errors(nodal_entry_points, name):
+    # a nodal array of the wrong length is a ConfigError (a ValueError too);
+    # a non-finite node is an error of the array's role, never a NaN result.
+    # The well-formed array passes, so the errors come from the bad node
+    g, points = nodal_entry_points
+    call, nonfinite_error = points[name]
+    good = 0.1 * g.x * g.xm
+    call(good)
+    for wrong in (good[:-1], np.append(good, 0.0), good.reshape(1, -1)):
+        with pytest.raises(ConfigError, match="does not match") as info:
+            call(wrong)
+        assert isinstance(info.value, ValueError)
+    for bad in (np.nan, np.inf):
+        values = good.copy()
+        values[g.size // 3] = bad
+        with pytest.raises(nonfinite_error):
+            call(values)
 
 
 def test_every_exported_name_resolves():
