@@ -79,11 +79,11 @@ class RadialPotential:
     """Polynomial potential in x of degree at most ``DEFAULT_DEGREE``,
     coefficients low to high degree.
 
-    Node evaluation is exact polynomial evaluation (no interpolation error);
-    results are cached per grid size.
+    Node evaluation is exact polynomial evaluation (no interpolation error),
+    computed on each call and returned read-only; nothing is cached.
     """
 
-    __slots__ = ("coeffs", "_cache")
+    __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
         c = tuple(float(v) for v in coeffs)
@@ -94,18 +94,23 @@ class RadialPotential:
         if not all(np.isfinite(c)):
             raise ConfigError("potential coefficients must be finite")
         object.__setattr__(self, "coeffs", c)
-        object.__setattr__(self, "_cache", {})
 
     def __setattr__(self, *_):
         raise AttributeError("RadialPotential is immutable")
 
     def values(self, grid):
-        cached = self._cache.get(grid.size)
-        if cached is None:
-            cached = np.polynomial.polynomial.polyval(grid.x, np.asarray(self.coeffs))
-            cached.setflags(write=False)
-            self._cache[grid.size] = cached
-        return cached
+        """Nodal values on ``grid`` by Horner's rule, read-only. The same IEEE
+        operations in the same order as ``numpy.polynomial.polynomial.polyval``
+        (``c[-1] + x * 0``, then ``c_k + acc * x``; ``x * 0`` is +0.0 on the
+        nodes x >= 0), so the bits are polyval's."""
+        x = grid.x
+        *rest, top = self.coeffs
+        out = np.full(x.shape, top + 0.0)
+        for c in reversed(rest):
+            out *= x
+            out += c
+        out.setflags(write=False)
+        return out
 
     def __add__(self, other):
         a, b = self.coeffs, other.coeffs
@@ -130,7 +135,8 @@ class RadialPotential:
 class MetricState:
     """A validated positive metric with its profiles.
 
-    ``phi_total`` is the nodal potential relative to the background, ``form``
+    ``phi_total`` is the nodal potential relative to the background (a state
+    built from a ``RadialPotential`` holds its read-only nodal values), ``form``
     the metric profile pair. ``q`` and ``r`` are the endpoint-regular factors
     described in the module docstring; ``log_density`` is log of the volume
     ratio against the background. Derived when first read: ``density``, the
@@ -222,10 +228,14 @@ def wedge_density(f, k, g, n):
 
     multiplied left to right, the f term first. A factor of 1 and a power of
     1 are skipped (1 x = x and x^1 = x exactly, signed zeros included); the
-    result is always a new array.
+    result is always a new array. Raises ConfigError when the four profiles
+    differ in shape.
     """
     if not 0 <= k <= n or n < 1:
         raise ConfigError(f"wedge needs 0 <= k <= n and n >= 1, got k = {k}, n = {n}")
+    if not f.a.shape == f.b.shape == g.a.shape == g.b.shape:
+        raise ConfigError(f"a wedge profile's shape does not match: A_f {f.a.shape}, "
+                          f"B_f {f.b.shape}, A_g {g.a.shape}, B_g {g.b.shape}")
     density = None
     for own, m, other, rest in ((f, k, g, n - k), (g, n - k, f, k)):
         if m:

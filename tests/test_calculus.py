@@ -1,3 +1,4 @@
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -85,6 +86,24 @@ def test_d_dx_strided_and_int_inputs_match_contiguous_float(grid512, rng):
     ints = rng.integers(-1000, 1000, grid512.size + 1)
     expected = d_dx(ints.astype(np.float64), grid512)
     assert d_dx(ints, grid512).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("node", [3, 128, 256])
+def test_d_dx_finiteness_guard(grid256, node):
+    # the guard's sum of squares overflows at a huge finite node, which the
+    # exact nodewise test then lets pass, without an overflow warning; a
+    # NaN or infinite node raises wherever it sits
+    f = np.sin(grid256.x)
+    huge = f.copy()
+    huge[node] = 1e200
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.isfinite(d_dx(huge, grid256)).all()
+    for bad in (np.nan, np.inf, -np.inf):
+        values = f.copy()
+        values[node] = bad
+        with pytest.raises(DivergentIntegrand, match="non-finite node"):
+            d_dx(values, grid256)
 
 
 def test_d_dx_needs_six_nodes():

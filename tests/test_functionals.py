@@ -33,6 +33,7 @@ from krflow.functionals import (
 )
 from krflow.geometry import (
     ManifoldConfig,
+    RadialForm,
     RadialPotential,
     average,
     background,
@@ -87,7 +88,6 @@ def test_ricci_potential_normalization(bent_ref1):
 
 def test_ricci_potential_rejects_bad_endpoints(bent_ref1):
     state = bent_ref1.state
-    from krflow.geometry import RadialForm
     # a copy of the state whose Ricci profile, derived when first read, is
     # preset to one that misses the endpoint condition
     doctored = dataclasses.replace(state)
@@ -522,7 +522,12 @@ def nodal_entry_points():
         "j_energy": lambda v: j_energy(ref, v),
         "run": lambda v: flow.run(flow.FlowConfig(manifold=config, initial=v, t_max=0.01)),
     }
+    # ``Energies`` integrates its values against the wedges on construction,
+    # and a wedge density is integrated where it is used
     integrands = {
+        "Energies": lambda v: Energies(ref, state, v),
+        "wedge_density": lambda v: average(wedge_density(RadialForm(a=v, b=v), 1, state.form, 2),
+                                           config),
         "d_dx": lambda v: d_dx(v, g),
         "d_ds": lambda v: d_ds(v, g),
         "integrate_ds": lambda v: integrate_ds(v, g),
@@ -537,8 +542,9 @@ def nodal_entry_points():
 
 
 @pytest.mark.parametrize("name", ["make_state", "state_from", "evaluate", "Energies.at",
-                                  "j_energy", "run", "d_dx", "d_ds", "integrate_ds", "average",
-                                  "cumulative_dx", "laplacian", "dirichlet"])
+                                  "j_energy", "run", "Energies", "wedge_density", "d_dx", "d_ds",
+                                  "integrate_ds", "average", "cumulative_dx", "laplacian",
+                                  "dirichlet"])
 def test_malformed_nodal_input_raises_typed_errors(nodal_entry_points, name):
     # a nodal array of the wrong length is a ConfigError (a ValueError too);
     # a non-finite node is an error of the array's role, never a NaN result.

@@ -318,3 +318,28 @@ def test_potential_arithmetic(grid256):
     vals = s.values(grid256)
     manual = 1.5 + 2.0 * grid256.x + grid256.x ** 2
     assert np.abs(vals - manual).max() < 1e-15
+
+
+@pytest.mark.parametrize("size", [16, 1024, 2048])
+def test_potential_values_are_polyvals_bits(size):
+    # Horner's rule in polyval's operation order: c[-1] + x*0 (+0.0 on the
+    # nodes, so a -0.0 leading coefficient starts from +0.0), then c_k + acc*x
+    grid = build_grid(size)
+    rng = np.random.default_rng(size)
+    for length in range(1, 10):
+        for trial in range(8):
+            coeffs = rng.uniform(-1.0, 1.0, length) * 10.0 ** rng.integers(-6, 7, length)
+            if trial < 2:
+                coeffs[-1] = (0.0, -0.0)[trial]
+            phi = RadialPotential(coeffs)
+            values = phi.values(grid)
+            expected = np.polynomial.polynomial.polyval(grid.x, np.asarray(phi.coeffs))
+            assert values.tobytes() == expected.tobytes(), (length, trial)
+            assert not values.flags.writeable
+
+
+def test_potential_holds_only_its_coefficients(grid256):
+    # the nodal values are computed on each call and kept nowhere
+    phi = RadialPotential((0.1, 0.2))
+    assert RadialPotential.__slots__ == ("coeffs",)
+    assert phi.values(grid256) is not phi.values(grid256)
