@@ -159,9 +159,7 @@ class Energies:
     are each computed once, when first read."""
 
     def __init__(self, ref, state, values, e1_coeffs=None):
-        self._derive(ref, state, _kernels.nodal(values, ref.grid), e1_coeffs)
-
-    def _derive(self, ref, state, values, e1_coeffs):
+        values = _kernels.nodal(values, ref.grid)
         n = ref.config.n
         self.ref, self.state, self.values = ref, state, values
         self.e1_coeffs = e1_coefficients(n) if e1_coeffs is None else e1_coeffs
@@ -174,13 +172,10 @@ class Energies:
 
     @classmethod
     def at(cls, ref, phi, e1_coeffs=None):
-        """The energies at the potential ``phi`` relative to ``ref``; its nodal
-        values pass the shape check once, in ``_potential_values``."""
+        """The energies at the potential ``phi`` relative to ``ref``."""
         values = _potential_values(phi, ref.grid)
-        energies = cls.__new__(cls)
-        energies._derive(ref, state_from_total(ref.config, ref.state.phi_total + values), values,
-                         e1_coeffs)
-        return energies
+        return cls(ref, state_from_total(ref.config, ref.state.phi_total + values), values,
+                   e1_coeffs)
 
     @cached_property
     def uncentered(self):

@@ -90,9 +90,8 @@ def test_d_dx_strided_and_int_inputs_match_contiguous_float(grid512, rng):
 
 @pytest.mark.parametrize("node", [3, 128, 256])
 def test_d_dx_finiteness_guard(grid256, node):
-    # the guard's sum of squares overflows at a huge finite node, which the
-    # exact nodewise test then lets pass, without an overflow warning; a
-    # NaN or infinite node raises wherever it sits
+    # a huge but finite node passes without a warning; a NaN or infinite
+    # node raises wherever it sits
     f = np.sin(grid256.x)
     huge = f.copy()
     huge[node] = 1e200
