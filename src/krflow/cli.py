@@ -1,9 +1,9 @@
 """Command-line interface: verify / flow / eval.
 
 Configuration files are INI-style (key-value entries inside named sections);
-unknown sections or keys are rejected. Exit codes: 0 pass, 1 check or flow
-failure, 2 configuration error. Outputs are byte-identical for identical
-configs and seeds.
+unknown sections or keys are rejected; ``[tolerances]`` applies to ``verify``
+and ``flow``. Exit codes: 0 pass, 1 check or flow failure, 2 configuration
+error. Outputs are byte-identical for identical configs and seeds.
 """
 
 import argparse
@@ -20,7 +20,7 @@ from .flow import FlowConfig, TRACE_COLUMNS, run
 from .functionals import evaluate, fubini_study_reference, futaki_of_state, make_reference
 from .geometry import (DEFAULT_COEFF_BOUND, DEFAULT_DEGREE, ManifoldConfig, RadialPotential,
                        make_state, sample_admissible)
-from .verification import DEFAULT_TOLERANCES, SuiteConfig, run_suite
+from .verification import DEFAULT_TOLERANCES, SuiteConfig, flow_checks, run_suite
 
 _SCHEMA = {
     "run": {"n", "grid_size"},
@@ -29,7 +29,7 @@ _SCHEMA = {
     "flow": {"t_max", "dt_init", "record_every"},
     "suite": {"seed", "samples", "fd_pairs", "fd_dt", "flow_grid", "flow_t_max",
               "flow_record_every"},
-    "tolerances": None,  # any known tolerance name; validated separately
+    "tolerances": set(DEFAULT_TOLERANCES),
     "mutation": {"b1_offset", "h_norm_offset"},
     "output": {"report"},
 }
@@ -44,39 +44,37 @@ def _parse_coeffs(text):
 
 
 def load_config(path):
-    """Parse and validate an INI config; raises ConfigError on any problem."""
+    """Parse and validate an INI config, with every section of the schema;
+    raises ConfigError on any problem."""
     parser = configparser.ConfigParser()
+    parser.read_dict(dict.fromkeys(_SCHEMA, {}))  # an absent section reads as an empty one
     read = parser.read(path)
     if not read:
         raise ConfigError(f"cannot read config file {path}")
     for section in parser.sections():
         if section not in _SCHEMA:
             raise ConfigError(f"unknown config section [{section}]")
-        allowed = _SCHEMA[section]
         for key in parser[section]:
-            if allowed is None:
-                if key not in DEFAULT_TOLERANCES:
-                    raise ConfigError(f"unknown tolerance {key!r}")
-            elif key not in allowed:
+            if key not in _SCHEMA[section]:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
     return parser
 
 
 def _manifold(parser):
-    run_sec = parser["run"] if parser.has_section("run") else {}
+    run_sec = parser["run"]
     n = int(run_sec.get("n", 1))
     grid_size = int(run_sec.get("grid_size", 1024))
     return ManifoldConfig(n=n, grid=build_grid(grid_size))
 
 
 def _reference_potential(parser):
-    if parser.has_section("reference") and parser["reference"].get("coeffs"):
+    if parser["reference"].get("coeffs"):
         return RadialPotential(_parse_coeffs(parser["reference"]["coeffs"]))
     return None
 
 
 def _potential(parser, manifold):
-    sec = parser["potential"] if parser.has_section("potential") else {}
+    sec = parser["potential"]
     if str(sec.get("random", "false")).lower() in ("1", "true", "yes"):
         rng = np.random.default_rng(int(sec.get("seed", 0)))
         return sample_admissible(
@@ -93,17 +91,22 @@ def _suite_config(parser, manifold):
     types = {f.name: f.type for f in dataclasses.fields(SuiteConfig)}
     values = {}
     for section in ("suite", "mutation"):
-        if parser.has_section(section):
-            values.update((k, types[k](v)) for k, v in parser[section].items())
-    tolerances = {}
-    if parser.has_section("tolerances"):
-        tolerances = {k: float(v) for k, v in parser["tolerances"].items()}
-    return SuiteConfig(n=manifold.n, grid_size=manifold.grid.size, tolerances=tolerances,
-                       **values)
+        values.update((k, types[k](v)) for k, v in parser[section].items())
+    return SuiteConfig(n=manifold.n, grid_size=manifold.grid.size,
+                       tolerances=_tolerances(parser), **values)
+
+
+def _tolerances(parser):
+    """The [tolerances] overrides, name -> float, each finite and >= 0."""
+    overrides = {k: float(v) for k, v in parser["tolerances"].items()}
+    for name, value in overrides.items():
+        if not 0.0 <= value < np.inf:
+            raise ConfigError(f"tolerance {name} must be finite and >= 0, got {value}")
+    return overrides
 
 
 def _flow_config(parser, manifold):
-    sec = parser["flow"] if parser.has_section("flow") else {}
+    sec = parser["flow"]
     optional = {"record_every": int(sec["record_every"])} if "record_every" in sec else {}
     return FlowConfig(
         manifold=manifold,
@@ -128,7 +131,7 @@ def cmd_verify(config_path):
     report = run_suite(suite_config)
     text = report.to_text()
     sys.stdout.write(text)
-    if parser.has_section("output") and parser["output"].get("report"):
+    if parser["output"].get("report"):
         with open(parser["output"]["report"], "w") as fh:
             fh.write(text)
     return 0 if report.passed else 1
@@ -140,47 +143,34 @@ def _trace_lines(trace):
         yield ",".join(_fmt(v) for v in rec.row())
 
 
-def _flow_tolerances(trace):
-    """(residual deviation tolerance, nu monotonicity tolerance, inequality
-    floor) of a flow trace, from the suite's tolerance table."""
-    return (DEFAULT_TOLERANCES["flow_residual_constant"] * (1.0 + abs(trace.c_omega)),
-            DEFAULT_TOLERANCES["flow_nu_monotone"],
-            -DEFAULT_TOLERANCES["flow_inequality"])
-
-
-def _summary_lines(trace):
-    dev_tol, nu_tol, floor = _flow_tolerances(trace)
-    dev = trace.residual_deviation()
-    nu_viol = max(0.0, trace.nu_violation())
-    margin = trace.inequality_margin()
-    monotone_ok = nu_viol <= nu_tol
-    residual_ok = dev <= dev_tol
-    inequality_ok = margin >= floor
+def _summary_lines(trace, checks=None):
+    """The summary block of ``trace``'s ``flow_checks``, by default at the defaults."""
+    monotone, residual, inequality = checks or flow_checks(trace)
     yield f"# c_omega = {_fmt(trace.c_omega)}"
-    yield f"# max_residual_deviation = {_fmt(dev)} (tolerance {_fmt(dev_tol)}): " \
-          + ("PASS" if residual_ok else "FAIL")
-    yield f"# nu_monotone_violation = {_fmt(nu_viol)} (tolerance {nu_tol:g}): " \
-          + ("PASS" if monotone_ok else "FAIL")
-    yield f"# inequality_margin = {_fmt(margin)} (floor {floor:g}): " \
-          + ("PASS" if inequality_ok else "FAIL")
+    yield (f"# max_residual_deviation = {_fmt(residual.value)} "
+           f"(tolerance {_fmt(residual.tolerance)}): {residual.status}")
+    yield (f"# nu_monotone_violation = {_fmt(monotone.value)} "
+           f"(tolerance {monotone.tolerance:g}): {monotone.status}")
+    yield (f"# inequality_margin = {_fmt(trace.inequality_margin())} "
+           f"(floor {-inequality.tolerance:g}): {inequality.status}")
     yield f"# steps_accepted = {trace.accepted}, steps_rejected = {trace.rejected}"
 
 
 def cmd_flow(config_path, out_path):
-    """Run the flow, write the trace plus a summary block; exit 1 when the
-    flow aborts or the inequality verdict fails."""
+    """Run the flow, write the trace plus its ``flow_checks`` at the config's
+    ``[tolerances]``; exit 1 when the flow aborts or the inequality gate fails."""
     parser = load_config(config_path)
+    overrides = _tolerances(parser)
     try:
         trace = run(_flow_config(parser, _manifold(parser)))
     except FlowAborted as exc:
         print(f"flow aborted: {exc}", file=sys.stderr)
         return 1
+    checks = flow_checks(trace, overrides)
     with open(out_path, "w") as fh:
-        for line in _trace_lines(trace):
+        for line in (*_trace_lines(trace), *_summary_lines(trace, checks)):
             fh.write(line + "\n")
-        for line in _summary_lines(trace):
-            fh.write(line + "\n")
-    return 0 if trace.inequality_margin() >= _flow_tolerances(trace)[2] else 1
+    return 0 if checks[2].passed else 1
 
 
 def cmd_eval(config_path, phi_text):

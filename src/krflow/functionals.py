@@ -152,14 +152,16 @@ def weighted_sum(coeffs, averages):
 
 class Energies:
     """The energies of ``state``, whose nodal potential relative to ``ref`` is
-    ``values``. Construction derives the n + 1 wedges ref^k wedge state^(n-k)
-    (the ends are the two volume densities) and the ``mixed`` averages of the
-    midpoint-centered values against them. J (both forms), nu, E1 (weights
-    ``e1_coeffs``), the flow velocity, its Dirichlet energy and the residual
-    are each computed once, when first read."""
+    ``values``, kept as a read-only copy. Construction derives the n + 1
+    wedges ref^k wedge state^(n-k) (the ends are the two volume densities)
+    and the ``mixed`` averages of the midpoint-centered values against them.
+    J (both forms), nu, E1 (weights ``e1_coeffs``), the flow velocity, its
+    Dirichlet energy and the residual are each computed once, when first
+    read."""
 
     def __init__(self, ref, state, values, e1_coeffs=None):
-        values = _kernels.nodal(values, ref.grid)
+        values = _kernels.nodal(values, ref.grid).copy()  # out of reach of the caller's writes
+        values.setflags(write=False)
         n = ref.config.n
         self.ref, self.state, self.values = ref, state, values
         self.e1_coeffs = e1_coefficients(n) if e1_coeffs is None else e1_coeffs

@@ -135,8 +135,8 @@ class RadialPotential:
 class MetricState:
     """A validated positive metric with its profiles.
 
-    ``phi_total`` is the nodal potential relative to the background (a state
-    built from a ``RadialPotential`` holds its read-only nodal values), ``form``
+    ``phi_total`` is the nodal potential relative to the background, a
+    read-only copy of the values the state was built from, ``form``
     the metric profile pair. ``q`` and ``r`` are the endpoint-regular factors
     described in the module docstring; ``log_density`` is log of the volume
     ratio against the background. Derived when first read: ``density``, the
@@ -199,7 +199,8 @@ def state_from_total(config, phi_total):
     non-finite node, and ConfigError for an array of the wrong length.
     """
     g = config.grid
-    phi_total = _potential_values(phi_total, g)
+    phi_total = _potential_values(phi_total, g).copy()  # out of reach of the caller's writes
+    phi_total.setflags(write=False)
     p = _kernels.profiles(phi_total, g, config.n)
     return MetricState(config=config, phi_total=phi_total, form=RadialForm(a=g.xm * p.r, b=p.b),
                        ahat=p.ahat, bhat=p.bhat, q=p.q, r=p.r, log_density=p.log_density)

@@ -4,9 +4,27 @@ import pytest
 from krflow.calculus import build_grid
 from krflow.functionals import fubini_study_reference, make_reference
 from krflow.geometry import ManifoldConfig, RadialPotential, make_state
-from krflow.verification import DEFAULT_TOLERANCES
+from krflow.verification import flow_checks
 
 BENT_COEFFS = (0.0, 0.2, 0.1)
+# a verify config small enough for a unit test, on which every check passes
+VERIFY_FAST = """
+[run]
+n = 1
+grid_size = 512
+
+[suite]
+seed = 11
+samples = 6
+fd_pairs = 2
+flow_grid = 128
+flow_t_max = 0.2
+
+[tolerances]
+scal_class_average = 1e-5
+residual_constancy_background = 1e-4
+residual_constancy_perturbed = 1e-4
+"""
 # an admissible n = 2 state on which, at N = 16, the quadrature of e^h
 # against the volume that normalizes the Ricci potential comes out at -1178.7
 COARSE_NEGATIVE_NORM = (1.8019894382475554, 0.32797387213837137, 1.6480510198850826,
@@ -70,18 +88,11 @@ def rng():
 
 
 def flow_gate_failures(trace):
-    """The flow gates that ``trace`` misses, as "name: value > tolerance"
-    strings; empty when all pass. The tolerances are the suite's
-    (``flow_nu_monotone``, ``flow_residual_constant`` scaled by 1 + |C|,
-    ``flow_inequality`` as a floor on the margin)."""
-    gates = (
-        ("flow_nu_monotone", trace.nu_violation(), DEFAULT_TOLERANCES["flow_nu_monotone"]),
-        ("flow_residual_constant", trace.residual_deviation(),
-         DEFAULT_TOLERANCES["flow_residual_constant"] * (1.0 + abs(trace.c_omega))),
-        ("flow_inequality", -trace.inequality_margin(), DEFAULT_TOLERANCES["flow_inequality"]),
-    )
-    return [f"{name}: {value:.3e} > {tol:.3e}" for name, value, tol in gates
-            if not value <= tol]
+    """The suite's flow gates (``flow_checks`` at the default tolerances) that
+    ``trace`` misses, as "name: value > tolerance" strings; empty when all
+    pass."""
+    return [f"{e.name}: {e.value:.3e} > {e.tolerance:.3e}"
+            for e in flow_checks(trace) if not e.passed]
 
 
 def pytest_terminal_summary(terminalreporter):

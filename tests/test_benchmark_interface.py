@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 import krflow
+from conftest import VERIFY_FAST
 from krflow import _kernels, calculus, geometry
 
 WORKER = Path(__file__).resolve().parents[1] / "perfbench" / "worker.py"
@@ -47,3 +48,20 @@ def test_benchmark_workloads_run(worker):
     attempted, errors, output = sweep.run_round()
     assert (attempted, errors) == (len(cases) * 6, [])
     assert all(None not in case["reports"] + case["legs"] for case in output)
+
+
+def test_benchmark_verify_workload_reports(worker, tmp_path):
+    # one round of the verify workload on a small config: every report line
+    # reads name,status,value,tolerance with the status that value <=
+    # tolerance gives (the harness's rule), and the three flow gates report
+    config = tmp_path / "verify.ini"
+    config.write_text(VERIFY_FAST)
+    attempted, errors, output = worker.VerifyWorkload({"configs": [str(config)]}).run_round()
+    assert errors == [] and [entry["code"] for entry in output] == [0]
+    lines = output[0]["text"].splitlines()
+    assert attempted == len(lines)
+    for line in lines:
+        name, status, value, tol = line.split(",")
+        assert status == ("PASS" if float(value) <= float(tol) else "FAIL"), line
+    names = [line.split(",")[0] for line in lines]
+    assert {"flow_nu_monotone", "flow_residual_constant", "flow_inequality"} <= set(names)

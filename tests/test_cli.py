@@ -3,7 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import COARSE_NEGATIVE_NORM
+from conftest import COARSE_NEGATIVE_NORM, VERIFY_FAST
 from krflow.cli import (
     _flow_config,
     _manifold,
@@ -21,24 +21,6 @@ from krflow.verification import DEFAULT_TOLERANCES, SuiteConfig
 ROOT = Path(__file__).resolve().parents[1]
 SHIPPED_CONFIGS = sorted([*(ROOT / "src" / "krflow" / "configs").glob("*.ini"),
                           *(ROOT / "perfbench" / "configs").glob("*.ini")])
-
-VERIFY_FAST = """
-[run]
-n = 1
-grid_size = 512
-
-[suite]
-seed = 11
-samples = 6
-fd_pairs = 2
-flow_grid = 128
-flow_t_max = 0.2
-
-[tolerances]
-scal_class_average = 1e-5
-residual_constancy_background = 1e-4
-residual_constancy_perturbed = 1e-4
-"""
 
 FLOW_SMALL = """
 [run]
@@ -251,6 +233,54 @@ def test_flow_summary_text_unchanged():
         "# steps_accepted = 12, steps_rejected = 3\n")
 
 
+def _flow_summary(tmp_path, text):
+    """(exit code, summary lines by their label) of ``krflow flow`` on ``text``."""
+    config = _write(tmp_path, "flow.ini", text)
+    out_path = tmp_path / "trace.csv"
+    code = main(["flow", "--config", config, "--out", str(out_path)])
+    lines = [ln for ln in out_path.read_text().splitlines() if ln.startswith("# ")]
+    return code, {ln[2:].split(" = ")[0]: ln for ln in lines}
+
+
+def test_flow_honours_residual_tolerance(tmp_path):
+    # the [tolerances] section reaches flow's summary; the residual gate
+    # only prints, the exit status follows the inequality gate alone
+    code, summary = _flow_summary(
+        tmp_path, FLOW_SMALL + "\n[tolerances]\nflow_residual_constant = 1e-30\n")
+    assert code == 0
+    assert summary["max_residual_deviation"].endswith(f"(tolerance {1e-30:.17g}): FAIL")
+    assert summary["nu_monotone_violation"].endswith(": PASS")
+    assert summary["inequality_margin"].endswith(": PASS")
+
+
+# at n = 1 on 32 panels against the bent reference, the discrete inequality
+# margin falls to -6.6e-7 by t = 5: below the default floor -1e-8
+FLOW_COARSE_BENT = """
+[run]
+n = 1
+grid_size = 32
+
+[reference]
+coeffs = 0.0, 0.2, 0.1
+
+[potential]
+coeffs = 0.0, -0.1, 0.1
+
+[flow]
+t_max = 5.0
+record_every = 200
+"""
+
+
+@pytest.mark.parametrize("override, floor, status, exit_code", [
+    ("", "-1e-08", "FAIL", 1),
+    ("\n[tolerances]\nflow_inequality = 1e-6\n", "-1e-06", "PASS", 0)])
+def test_flow_inequality_tolerance_decides_exit(tmp_path, override, floor, status, exit_code):
+    code, summary = _flow_summary(tmp_path, FLOW_COARSE_BENT + override)
+    assert code == exit_code
+    assert summary["inequality_margin"].endswith(f"(floor {floor}): {status}")
+
+
 def test_flow_outputs_are_reproducible(tmp_path):
     config = _write(tmp_path, "flow.ini", FLOW_SMALL)
     out_a, out_b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -341,3 +371,16 @@ def test_verify_unknown_tolerance_key(tmp_path):
     config = _write(tmp_path, "bad.ini",
                     "[run]\nn = 1\ngrid_size = 128\n\n[tolerances]\nbogus = 1.0\n")
     assert main(["verify", "--config", config]) == 2
+
+
+@pytest.mark.parametrize("command", ("verify", "flow"))
+@pytest.mark.parametrize("value", ("-1e-7", "nan", "inf"))
+def test_tolerance_override_must_be_finite_and_nonnegative(tmp_path, capsys, command, value):
+    # a negative floor would print "floor 1e-07" beside a larger margin and
+    # still fail the clamped inequality gate: such overrides are config errors
+    config = _write(tmp_path, "bad.ini",
+                    FLOW_SMALL + f"\n[tolerances]\nflow_inequality = {value}\n")
+    out = ["--out", str(tmp_path / "trace.csv")] if command == "flow" else []
+    assert main([command, "--config", config, *out]) == 2
+    assert "tolerance flow_inequality must be finite and >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "trace.csv").exists()

@@ -573,3 +573,16 @@ def test_every_exported_name_resolves():
     assert set(krflow.__all__) <= namespace.keys()
     assert len(set(krflow.__all__)) == len(krflow.__all__)
     assert namespace["Energies"] is Energies
+
+
+def test_state_and_energies_keep_read_only_copies(fs_ref1):
+    # a state and its energies keep read-only copies of the arrays they are
+    # handed: a later write to the caller's array reaches neither
+    a = np.array(RadialPotential((0.0, 0.1, 0.05)).values(fs_ref1.grid))
+    before = a.copy()
+    state = make_state(fs_ref1.config, a)
+    energies = Energies(fs_ref1, state, a)
+    a[:] = 5.0
+    for kept in (state.phi_total, energies.values):
+        np.testing.assert_array_equal(kept, before)
+        assert not kept.flags.writeable

@@ -4,6 +4,7 @@ import pytest
 from krflow import flow, functionals, geometry, verification
 from krflow.calculus import build_grid
 from krflow.errors import ConfigError
+from krflow.flow import FlowRecord, FlowTrace
 from krflow.functionals import (
     Energies,
     e1_coefficients,
@@ -23,11 +24,14 @@ from krflow.geometry import (
 )
 from krflow.verification import (
     COCYCLES,
+    DEFAULT_TOLERANCES,
     IDENTITIES,
     SuiteConfig,
     VariationalCheck,
     cocycle_check,
+    flow_checks,
     run_suite,
+    tolerance,
     variational_check,
 )
 
@@ -311,8 +315,21 @@ def test_suite_state_builds(monkeypatch):
 
 
 def test_tolerance_overrides():
-    config = SuiteConfig(n=1, grid_size=512, tolerances={"der_e1": 1e-3})
-    assert config.tolerance("der_e1") == 1e-3
-    assert config.tolerance("der_jfunc") == 1e-5
+    overrides = SuiteConfig(n=1, grid_size=512, tolerances={"der_e1": 1e-3}).tolerances
+    assert tolerance("der_e1", overrides) == 1e-3
+    assert tolerance("der_jfunc", overrides) == 1e-5
     with pytest.raises(KeyError):
-        config.tolerance("not_a_check")
+        tolerance("not_a_check", overrides)
+
+
+def test_flow_checks_scale_the_residual_and_read_overrides():
+    # the residual gate's tolerance is scaled by 1 + |C_omega|, and an
+    # override replaces a default before scaling
+    records = [FlowRecord(t=t, nu=nu, e1=e1, dirichlet=0.0, residual=res, scal_min=1.0,
+                          scal_max=1.0, futaki=0.0, min_ahat=1.0, min_bhat=1.0)
+               for t, nu, e1, res in ((0.0, 0.5, 0.75, -0.5), (1.0, 0.25, 0.125, -0.375))]
+    trace = FlowTrace(records=records, c_omega=-0.375)
+    monotone, residual, inequality = flow_checks(trace)
+    assert (monotone.value, residual.value, inequality.value) == (0.0, 0.125, 0.0)
+    assert residual.tolerance == DEFAULT_TOLERANCES["flow_residual_constant"] * 1.375
+    assert flow_checks(trace, {"flow_residual_constant": 0.1})[1].tolerance == 0.1 * 1.375
