@@ -17,9 +17,9 @@ import numpy as np
 from .calculus import build_grid
 from .errors import FlowAborted, KrflowError, NotInPotentialSpace, ConfigError
 from .flow import FlowConfig, TRACE_COLUMNS, run
-from .functionals import evaluate, fubini_study_reference, futaki_of_state, make_reference
+from .functionals import evaluate, futaki_of_state, make_reference
 from .geometry import (DEFAULT_COEFF_BOUND, DEFAULT_DEGREE, ManifoldConfig, RadialPotential,
-                       make_state, sample_admissible)
+                       sample_admissible, state_from_total)
 from .verification import DEFAULT_TOLERANCES, SuiteConfig, flow_checks, run_suite
 
 _SCHEMA = {
@@ -68,9 +68,9 @@ def _manifold(parser):
 
 
 def _reference_potential(parser):
-    if parser["reference"].get("coeffs"):
-        return RadialPotential(_parse_coeffs(parser["reference"]["coeffs"]))
-    return None
+    """The [reference] potential; absent or empty coeffs give the zero
+    potential, whose reference is Fubini-Study."""
+    return RadialPotential(_parse_coeffs(parser["reference"].get("coeffs", "")))
 
 
 def _potential(parser, manifold):
@@ -150,9 +150,9 @@ def _summary_lines(trace, checks=None):
     yield (f"# max_residual_deviation = {_fmt(residual.value)} "
            f"(tolerance {_fmt(residual.tolerance)}): {residual.status}")
     yield (f"# nu_monotone_violation = {_fmt(monotone.value)} "
-           f"(tolerance {monotone.tolerance:g}): {monotone.status}")
+           f"(tolerance {monotone.tolerance!r}): {monotone.status}")
     yield (f"# inequality_margin = {_fmt(trace.inequality_margin())} "
-           f"(floor {-inequality.tolerance:g}): {inequality.status}")
+           f"(floor {-inequality.tolerance!r}): {inequality.status}")
     yield f"# steps_accepted = {trace.accepted}, steps_rejected = {trace.rejected}"
 
 
@@ -178,11 +178,7 @@ def cmd_eval(config_path, phi_text):
     potential is not in the admissible cone."""
     parser = load_config(config_path)
     manifold = _manifold(parser)
-    reference = _reference_potential(parser)
-    if reference is None:
-        ref = fubini_study_reference(manifold)
-    else:
-        ref = make_reference(make_state(manifold, reference))
+    ref = make_reference(state_from_total(manifold, _reference_potential(parser)))
     phi = RadialPotential(_parse_coeffs(phi_text))
     try:
         report = evaluate(ref, phi)

@@ -29,6 +29,11 @@ rejected step is retried from the same start at half the size, until dt
 falls below 1e-14 and the run aborts. The halved size holds until the
 interval's record time, on which the last step is cut to land.
 
+The flow runs relative to a reference metric built from a potential like
+any other state: ``FlowConfig.reference`` defaults to the zero potential,
+whose reference is Fubini-Study (h = 0 and C_omega = 0 exactly), and an
+explicit ``reference=None`` is no potential, so ``run`` raises ConfigError.
+
 Potentials would drift by an exponentially growing constant along the flow
 (the +phi term integrates the spatially constant mode). Every recorded
 functional is shift invariant, so the drift is pure gauge; ``step``
@@ -45,14 +50,9 @@ import numpy as np
 from . import _kernels, banded
 from .calculus import HALF_BAND, derivative_bands
 from .errors import ConfigError, FlowAborted, NotInPotentialSpace, StepRejected
-from .functionals import (
-    Energies,
-    c_omega_estimate,
-    fubini_study_reference,
-    futaki_of_state,
-    make_reference,
-)
-from .geometry import ManifoldConfig, make_state, scalar_curvature, state_from, state_from_total
+from .functionals import Energies, c_omega_estimate, futaki_of_state, make_reference
+from .geometry import (ManifoldConfig, RadialPotential, scalar_curvature, state_from,
+                       state_from_total)
 
 TRACE_COLUMNS = ("t", "nu", "e1", "dirichlet", "residual",
                  "scal_min", "scal_max", "futaki", "min_Ahat", "min_Bhat")
@@ -70,14 +70,15 @@ _GAMMA = 1.0 - 1.0 / np.sqrt(2.0)
 class FlowConfig:
     """Flow run parameters.
 
-    ``initial`` and the optional ``reference`` are potentials relative to the
-    background. dt0, the stability estimate at the initial state or
-    ``dt_init`` when that is smaller, is the unit of the record grid: records
-    fall at t = k * ``record_every`` * dt0 (plus the initial and final
-    states), the spacing at which a classical explicit method at the
-    stability cap would record every ``record_every`` steps. Steps run at
-    the record spacing; a rejection shortens them only until the end of its
-    record interval.
+    ``initial`` and ``reference`` are potentials relative to the background;
+    ``reference`` defaults to the zero potential, whose reference is
+    Fubini-Study, and ``run`` raises ConfigError for ``reference=None``.
+    dt0, the stability estimate at the initial state or ``dt_init`` when
+    that is smaller, is the unit of the record grid: records fall at
+    t = k * ``record_every`` * dt0 (plus the initial and final states), the
+    spacing at which a classical explicit method at the stability cap would
+    record every ``record_every`` steps. Steps run at the record spacing; a
+    rejection shortens them only until the end of its record interval.
     """
 
     manifold: ManifoldConfig
@@ -85,7 +86,7 @@ class FlowConfig:
     t_max: float
     dt_init: float | None = None
     record_every: int = 200
-    reference: object | None = None
+    reference: object = RadialPotential(())
 
     def __post_init__(self):
         if not 0.0 < self.t_max < np.inf:
@@ -242,7 +243,7 @@ def step(ref, state, dt, trace=None):
         # functional is shift invariant); left alone it reaches ~1e3 by t ~ 10
         # and its stencil roundoff pollutes the derivative-heavy record columns
         rel = rel - rel[g.size // 2]
-        return state_from_total(config, base + rel)
+        return state_from(ref.state, rel)
     except np.linalg.LinAlgError as exc:
         raise StepRejected(f"step matrix singular at dt = {dt:.3e} ({exc})") from exc
     except NotInPotentialSpace as exc:
@@ -273,10 +274,7 @@ def run(config):
     t = k * record_every * dt0 (plus the initial and final states), one
     record interval at a time."""
     manifold = config.manifold
-    if config.reference is None:
-        ref = fubini_study_reference(manifold)
-    else:
-        ref = make_reference(make_state(manifold, config.reference))
+    ref = make_reference(state_from_total(manifold, config.reference))
     state = state_from(ref.state, config.initial)  # validates the initial data
 
     trace = FlowTrace(c_omega=c_omega_estimate(ref))

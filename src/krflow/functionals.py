@@ -35,7 +35,6 @@ from .geometry import (
     average,
     background,
     state_from,
-    state_from_total,
     wedge_density,
 )
 
@@ -176,8 +175,7 @@ class Energies:
     def at(cls, ref, phi, e1_coeffs=None):
         """The energies at the potential ``phi`` relative to ``ref``."""
         values = _potential_values(phi, ref.grid)
-        return cls(ref, state_from_total(ref.config, ref.state.phi_total + values), values,
-                   e1_coeffs)
+        return cls(ref, state_from(ref.state, values), values, e1_coeffs)
 
     @cached_property
     def uncentered(self):
@@ -253,13 +251,13 @@ def dirichlet(state, v):
     return average(density, state.config)
 
 
-def c_omega_estimate(ref, e1_coeffs=None):
+def c_omega_estimate(ref):
     """The reference constant, measured as the identity residual at phi = 0.
 
     Equal (within discretization error) to the residual at any other
     potential and at any flow time. Reads ``ref.state``; builds no state.
     """
-    return Energies(ref, ref.state, np.zeros_like(ref.state.phi_total), e1_coeffs).residual
+    return Energies(ref, ref.state, np.zeros_like(ref.state.phi_total)).residual
 
 
 def futaki_of_state(state):

@@ -217,7 +217,9 @@ def make_state(config, phi):
 
 
 def state_from(base, phi):
-    """State of ``base``'s metric perturbed by the relative potential ``phi``."""
+    """State of ``base``'s metric perturbed by the relative potential ``phi``
+    (polynomial or nodal): the one place where a relative potential meets its
+    base's ``phi_total``."""
     values = _potential_values(phi, base.config.grid)
     return state_from_total(base.config, base.phi_total + values)
 

@@ -253,6 +253,14 @@ def test_flow_honours_residual_tolerance(tmp_path):
     assert summary["inequality_margin"].endswith(": PASS")
 
 
+def test_flow_summary_prints_override_tolerances_in_full(tmp_path):
+    # the shortest round-trip form: no digit of an override is lost
+    _, summary = _flow_summary(tmp_path, FLOW_SMALL + (
+        "\n[tolerances]\nflow_nu_monotone = 1.23456789e-8\nflow_inequality = 2.5e-9\n"))
+    assert "(tolerance 1.23456789e-08)" in summary["nu_monotone_violation"]
+    assert "(floor -2.5e-09)" in summary["inequality_margin"]
+
+
 # at n = 1 on 32 panels against the bent reference, the discrete inequality
 # margin falls to -6.6e-7 by t = 5: below the default floor -1e-8
 FLOW_COARSE_BENT = """
@@ -356,6 +364,17 @@ coeffs = 0.0, 0.2, 0.1
     c = float(zero_out["residual"])
     assert c < 0.0
     assert float(tilt_out["residual"]) == pytest.approx(c, abs=1e-6 * (1 + abs(c)))
+
+
+def test_eval_zero_reference_spellings_agree(tmp_path, capsys):
+    # an absent [reference], an empty coeffs and coeffs = 0 all give the zero
+    # potential, whose reference is Fubini-Study
+    outputs = []
+    for section in ("", "\n[reference]\ncoeffs =\n", "\n[reference]\ncoeffs = 0\n"):
+        config = _write(tmp_path, "eval.ini", "[run]\nn = 2\ngrid_size = 128\n" + section)
+        assert main(["eval", "--config", config, "--phi", "0,0.2,0.05"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1] == outputs[2]
 
 
 def test_eval_output_reproducible(tmp_path, capsys):

@@ -327,6 +327,38 @@ def test_flow_with_perturbed_reference(small_config):
     assert not flow_gate_failures(trace)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_default_reference_is_fubini_study(n, monkeypatch):
+    # the zero potential's reference is Fubini-Study bit for bit: Horner's
+    # rule on the zero polynomial gives +0.0 at every node, the array
+    # ``background`` builds, so the default and an explicit zero potential
+    # record the same rows at C_omega = 0.0
+    config = ManifoldConfig(n=n, grid=build_grid(64))
+    built, real_reference = [], flow.make_reference
+
+    def reference(state):
+        built.append(real_reference(state))
+        return built[-1]
+
+    monkeypatch.setattr(flow, "make_reference", reference)
+    traces = [run(FlowConfig(manifold=config, initial=TILT, t_max=0.05, record_every=50, **kw))
+              for kw in ({}, {"reference": ZERO})]
+    assert [r.row() for r in traces[0].records] == [r.row() for r in traces[1].records]
+    assert traces[0].c_omega == traces[1].c_omega == 0.0
+    fs = fubini_study_reference(config)
+    for ref in built:
+        assert ref.h.tobytes() == fs.h.tobytes()
+        assert (ref.c0.hex(), ref.c1.hex()) == (fs.c0.hex(), fs.c1.hex())
+    assert len(built) == 2
+
+
+def test_reference_none_is_a_config_error(small_config):
+    # None is no potential: the reference defaults to the zero potential
+    cfg = FlowConfig(manifold=small_config, initial=TILT, t_max=0.1, reference=None)
+    with pytest.raises(ConfigError):
+        run(cfg)
+
+
 def test_c_omega_estimate(small_config):
     ref = fubini_study_reference(small_config)
     assert c_omega_estimate(ref) == 0.0

@@ -407,6 +407,22 @@ def test_shift_invariance(fs_ref2, rng):
                - Energies.at(fs_ref2, phi).residual) <= 1e-8
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_own_state_mixed_averages_vanish(n):
+    # at a reference's own state every mixed average is exactly 0.0, so E1's
+    # weights add nothing: the suite reads the diagonal axiom and C_omega off
+    # one Energies per reference, at the mutated weights
+    cfg = ManifoldConfig(n=n, grid=build_grid(128))
+    ref = make_reference(make_state(cfg, RadialPotential((0.0, 0.2, 0.1))))
+    zeros = np.zeros_like(ref.state.phi_total)
+    own = Energies(ref, ref.state, zeros)
+    assert all(m == 0.0 for m in own.mixed)
+    for offset in (0.1, -3.5):
+        coeffs = e1_coefficients(n)
+        coeffs[1] += offset
+        assert Energies(ref, ref.state, zeros, coeffs).e1.hex() == own.e1.hex()
+
+
 def test_evaluate_report(rng, monkeypatch):
     # at n = 1, 2, 3 and both references, evaluate shares one state build
     # and one set of mixed averages among J, nu, E1 and the residual, and

@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -343,3 +346,18 @@ def test_potential_holds_only_its_coefficients(grid256):
     phi = RadialPotential((0.1, 0.2))
     assert RadialPotential.__slots__ == ("coeffs",)
     assert phi.values(grid256) is not phi.values(grid256)
+
+
+def test_only_the_sampler_calls_make_state():
+    # make_state is state_from_total under its first name; the benchmark
+    # counts each call of it from sample_admissible as one sample try, so the
+    # package builds every other state with state_from_total
+    calls, sampled = set(), set()
+    for path in Path(geometry.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and "make_state" in (
+                    getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                calls.add(node)
+            if isinstance(node, ast.FunctionDef) and node.name == "sample_admissible":
+                sampled.update(ast.walk(node))
+    assert calls and calls <= sampled

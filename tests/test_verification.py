@@ -274,9 +274,9 @@ def test_suite_state_builds(monkeypatch):
     # for all four identities (3 P), 3 per cocycle pair for all three
     # functionals (9), the Futaki pool (2), the curvature averages (5) and
     # the perturbed residuals (S). The background residuals read the
-    # reports, and the zero-potential residuals and the diagonal read each
-    # reference's own state. It makes 6 references: the background, the
-    # bent one, one per cocycle pair and the flow's
+    # reports, and the zero-potential residuals and the diagonal read one
+    # Energies at each reference's own state. It makes 6 references: the
+    # background, the bent one, one per cocycle pair and the flow's
     counts = {"suite": 0, "sampler": 0, "flow": 0}
     references = []
     real_reference = functionals.make_reference
@@ -300,7 +300,7 @@ def test_suite_state_builds(monkeypatch):
         references.append(phase[-1])
         return real_reference(*args, **kwargs)
 
-    for module in (geometry, functionals, flow):
+    for module in (geometry, flow, verification):
         monkeypatch.setattr(module, "state_from_total", build)
     for module in (functionals, verification, flow):
         monkeypatch.setattr(module, "make_reference", reference)
