@@ -11,7 +11,7 @@ from .errors import (
     NotInPotentialSpace,
     StepRejected,
 )
-from .flow import FlowConfig, FlowTrace, run, step
+from .flow import FlowConfig, FlowTrace, run, step, step_matrix
 from .functionals import (
     Energies,
     FunctionalReport,
@@ -62,6 +62,6 @@ __all__ = [
     "dirichlet", "evaluate", "fubini_study_reference", "futaki_of_state",
     "integrate_ds", "j_energy", "kernel_backend", "laplacian",
     "make_reference", "make_state", "re_reference", "ricci_potential", "run",
-    "run_suite", "sample_admissible", "scalar_curvature", "step",
+    "run_suite", "sample_admissible", "scalar_curvature", "step", "step_matrix",
     "variational_check", "wedge_density",
 ]

@@ -1,12 +1,12 @@
 """Banded linear solves by LAPACK's banded LU with partial pivoting.
 
 A matrix M of half-bandwidth w is stored by rows, ``band[i, k] = M[i, i + k
-- w]``. Row i of M is column i of M^T, so the same array, preceded by w zero
-columns for the fill-in that row interchanges create, is LAPACK's column
-band storage of M^T with w sub- and w superdiagonals (Anderson et al.,
-LAPACK Users' Guide, 3rd ed., 1999, section 5.3.3). ``factor`` runs
-``dgbtrf`` on that copy and ``solve`` runs ``dgbtrs`` with TRANS = 'T',
-which solves M x = b; no layout gather is needed.
+- w]``. ``factor`` gathers that band, diagonal by diagonal, into LAPACK's
+column band storage of M with w sub- and w superdiagonals, preceded by w
+zero rows for the fill-in that row interchanges create (Anderson et al.,
+LAPACK Users' Guide, 3rd ed., 1999, section 5.3.3), and runs ``dgbtrf`` on
+it; ``solve`` runs ``dgbtrs`` with TRANS = 'N'. The gather is paid once per
+factorization, and every solve with the factors is untransposed.
 
 The routines are the ones numpy itself links: its bundled scipy-openblas64
 (ILP64, every integer 64-bit), found through the dependencies of
@@ -64,8 +64,11 @@ def factor(band):
     w = width // 2
     if width != 2 * w + 1:
         raise ValueError(f"band width must be odd, got {width}")
+    # column j of M is row j of ``lu``: lu[j, 2w + i - j] = M[i, j]
     lu = np.zeros((m, width + w))
-    lu[:, w:] = band
+    for d in range(-w, w + 1):
+        lo, hi = max(0, -d), min(m, m - d)
+        lu[lo:hi, 2 * w + d] = band[lo + d:hi + d, w - d]
     pivots = np.empty(m, dtype=np.int64)
     info = _INT()
     size, half, ld = _INT(m), _INT(w), _INT(width + w)
@@ -86,7 +89,7 @@ def solve(factored, rhs):
         raise ValueError(f"right-hand side must have shape ({m},), got {x.shape}")
     info = _INT()
     size, half, one, ldab = _INT(m), _INT(ld // 3), _INT(1), _INT(ld)
-    _lapack()[1](b"T", size, half, half, one, lu.ctypes.data, ldab, pivots.ctypes.data,
+    _lapack()[1](b"N", size, half, half, one, lu.ctypes.data, ldab, pivots.ctypes.data,
                  x.ctypes.data, size, info, 1)
     if info.value != 0:
         raise ValueError(f"dgbtrs rejected argument {-info.value}")

@@ -7,19 +7,25 @@ problem is stiff like a 1D diffusion equation: the spectral estimate in
 ``_stable_dt`` caps explicit steps far below what accuracy needs. ROS2 has
 no such cap, so a step is as long as the record spacing. Each step uses two
 velocities, f0 at its start and one at its stage, and makes two linear
-solves with M = I - gamma dt J, where J is the velocity's exact Jacobian: a
-band assembled at the step's start state from the grid's operator bands
-(``calculus.derivative_bands``). M is LU-factored once per step by LAPACK's
-banded routines from numpy's own OpenBLAS (``banded``); an exactly singular
-M rejects the step like a cone exit.
+solves with a step matrix M = I - gamma dt J, where J is the velocity's
+exact Jacobian at the state M was built at: a band assembled from the grid's
+operator bands (``calculus.derivative_bands``), LU-factored by LAPACK's
+banded routines from numpy's own OpenBLAS (``banded``). ROS2 keeps order 2
+with any matrix in place of the Jacobian (a W-method: Steihaug & Wolfbrandt,
+Math. Comp. 33, 1979), so ``run`` keeps one factored ``StepMatrix`` and
+refreshes it at the current state only when dt leaves its dt's landing slack
+(every rejection does) or r or q drifts from the profiles it was built from
+by more than ``_DRIFT``; an exactly singular M rejects the step like a cone
+exit.
 
 A step takes a ``MetricState`` and returns one, so each accepted state's
 metric profiles are derived once: ``run`` validates the initial data into
 the first state, each step builds the state of its result (its positivity
-check), and ``run`` hands that state to the next step, which reads f0 and
-the Jacobian off it, and at a record time to the record, whose reads derive
-the state's density and Ricci profile. Only the stage's profiles are
-derived besides, inside the velocity kernel.
+check), and ``run`` hands that state to the next step, which reads f0 off
+it, to a refresh of the step matrix, which reads r and q, and at a record
+time to the record, whose reads derive the state's density and Ricci
+profile. Only the stage's profiles are derived besides, inside the velocity
+kernel.
 
 Records fall on a time grid: record k sits at t = k * record_every * dt0,
 where dt0 is ``_stable_dt`` at the initial state, or ``dt_init`` when that
@@ -64,6 +70,20 @@ TRACE_COLUMNS = ("t", "nu", "e1", "dirichlet", "residual",
 # 6.9e-3 x^3, nu's decrease to t = 0.055 in steps of 0.01 is off by 1.9e-3 of
 # itself with the larger root and by 6.7e-5 with this one
 _GAMMA = 1.0 - 1.0 / np.sqrt(2.0)
+
+# The relative slack within which a step length counts as the one a step
+# matrix or a record time was made for: a step whose remainder to the record
+# time is this close lands on it, and a matrix serves steps this close to its dt
+_SLACK = 1e-9
+
+# How far r and q may drift from the profiles a step matrix was built from.
+# On a stiff mode whose matrix eigenvalue is s times the true one, the
+# step's amplification tends to 1 - 2a + a^2/2 with a = 1/(gamma s) as dt
+# grows, and its modulus is at most 1 only for s >= 1/(4 gamma) ~ 0.854. For
+# the diffusion term, whose coefficient is x(1-x)/r, s is about r/r_m, so a
+# 10% bound keeps that limit in [-0.39, 0.61]. Without it, seeded flows far
+# from Fubini-Study lost positivity, aborted or crept at dt ~ 1e-13
+_DRIFT = 0.1
 
 
 @dataclass
@@ -118,11 +138,13 @@ class FlowRecord:
 @dataclass
 class FlowTrace:
     """Time series of functional records along one flow run, with the step
-    counts, the velocity evaluations (f0 and the stage's per attempted step;
-    f0 only when the step matrix is singular), the factorizations of the
-    step matrix, and one ``(t, dt, min_ahat, min_bhat)`` entry per rejected
-    step (the mins are None when the rejection did not report them). The
-    records follow the flow's dissipation law dnu/dt = -n * dirichlet."""
+    counts, the velocity evaluations (f0 and the stage's per step attempted
+    with a step matrix; none when a refresh finds the matrix singular), the
+    factorizations of the step matrix (one per refresh, see
+    ``StepMatrix.fits``), and one ``(t, dt, min_ahat, min_bhat)`` entry per
+    rejected step (the mins are None when the rejection did not report
+    them). The records follow the flow's dissipation law dnu/dt = -n *
+    dirichlet."""
 
     records: list = field(default_factory=list)
     c_omega: float = 0.0
@@ -193,9 +215,46 @@ def _jacobian_band(config, state):
     return jac
 
 
+@dataclass(frozen=True)
+class StepMatrix:
+    """The step matrix I - gamma dt J, LU-factored (``factors``, as
+    ``banded.factor`` returns them), with the dt and the profiles r and q of
+    the state it was built at."""
+
+    dt: float
+    r: np.ndarray
+    q: np.ndarray
+    factors: tuple
+
+    def fits(self, state, dt):
+        """Whether steps of ``dt`` from the ``MetricState`` ``state`` may
+        use this matrix: dt within the landing slack of its dt, and r and
+        (where n > 1) q within ``_DRIFT`` of its profiles, relatively."""
+        if abs(dt - self.dt) > _SLACK * dt:
+            return False
+        if np.abs(state.r / self.r - 1.0).max() > _DRIFT:
+            return False
+        return state.config.n == 1 or np.abs(state.q / self.q - 1.0).max() <= _DRIFT
+
+
+def step_matrix(state, dt):
+    """The ``StepMatrix`` of steps of ``dt`` at the ``MetricState`` ``state``;
+    raises StepRejected (without minima) when it is exactly singular."""
+    system = _jacobian_band(state.config, state)
+    system *= -_GAMMA * dt
+    system[:, HALF_BAND] += 1.0
+    try:
+        factors = banded.factor(system)
+    except np.linalg.LinAlgError as exc:
+        raise StepRejected(f"step matrix singular at dt = {dt:.3e} ({exc})") from exc
+    return StepMatrix(dt, state.r, state.q, factors)
+
+
 def _ros2(f, solve, y0, f0, dt):
     """One ROS2 step of dy/dt = f(y) from y0, with f0 = f(y0) and ``solve``
-    applying (I - _GAMMA dt J)^-1; calls f once and ``solve`` twice."""
+    applying (I - _GAMMA dt A)^-1 for any matrix A (order 2 for every A;
+    stable on stiff modes where A is near the Jacobian); calls f once and
+    ``solve`` twice."""
     k1 = solve(f0)
     k2 = solve(f(y0 + dt * k1) - 2.0 * k1)
     return y0 + dt * (1.5 * k1 + 0.5 * k2)
@@ -205,17 +264,17 @@ def _shift_profile(ref):
     return ref.state.log_density + ref.state.phi_total + ref.h
 
 
-def step(ref, state, dt, trace=None):
+def step(ref, state, dt, matrix, trace=None):
     """One ROS2 step of the flow relative to ``ref`` from the ``MetricState``
     ``state``: the run's initial state or the one a previous step returned.
 
-    f0 and the step matrix are read off the state's profiles. Returns the
+    f0 is read off the state's profiles; ``matrix`` is a ``StepMatrix``
+    (``step_matrix``), built at this state or another. Returns the
     ``MetricState`` of the result, whose potential relative to ``ref`` is
     re-zeroed at the midpoint. With a ``trace``, the step adds its velocity
-    evaluations and factorization to it. Raises StepRejected when the stage
-    or the result leaves the positive cone (with the minima) or the step
-    matrix is exactly singular; the caller is expected to halve dt and retry
-    from the same state.
+    evaluations to it. Raises StepRejected when the stage or the result
+    leaves the positive cone (with the minima); the caller is expected to
+    halve dt and retry from the same state.
     """
     g = ref.grid
     config = ref.config
@@ -232,20 +291,13 @@ def step(ref, state, dt, trace=None):
             trace.velocity_evals += 1
         f0 = state.log_density + state.phi_total
         f0 -= shift
-        system = _jacobian_band(config, state)
-        system *= -_GAMMA * dt
-        system[:, HALF_BAND] += 1.0
-        factored = banded.factor(system)
-        if trace is not None:
-            trace.factorizations += 1
-        rel = _ros2(velocity, partial(banded.solve, factored), state.phi_total, f0, dt) - base
+        rel = _ros2(velocity, partial(banded.solve, matrix.factors), state.phi_total, f0,
+                    dt) - base
         # the constant mode grows like e^t and is pure gauge (every recorded
         # functional is shift invariant); left alone it reaches ~1e3 by t ~ 10
         # and its stencil roundoff pollutes the derivative-heavy record columns
         rel = rel - rel[g.size // 2]
         return state_from(ref.state, rel)
-    except np.linalg.LinAlgError as exc:
-        raise StepRejected(f"step matrix singular at dt = {dt:.3e} ({exc})") from exc
     except NotInPotentialSpace as exc:
         mins = exc.min_ahat, exc.min_bhat
         where = "" if None in mins else " (min Ahat {:.3g}, min Bhat {:.3g})".format(*mins)
@@ -272,7 +324,8 @@ def _record(ref, state, t):
 def run(config):
     """Integrate to t_max, recording functionals on the record grid
     t = k * record_every * dt0 (plus the initial and final states), one
-    record interval at a time."""
+    record interval at a time, with one step matrix while it fits (see
+    ``StepMatrix.fits``)."""
     manifold = config.manifold
     ref = make_reference(state_from_total(manifold, config.reference))
     state = state_from(ref.state, config.initial)  # validates the initial data
@@ -287,6 +340,7 @@ def run(config):
     t_end = config.t_max * (1.0 - 1e-12)
     t = 0.0
     k = 0  # index of the record time the interval ends on
+    matrix = None
     while t < t_end:
         k += 1
         t_next = k * spacing if k * spacing < t_end else config.t_max
@@ -294,10 +348,13 @@ def run(config):
         while t < t_next:
             remaining = t_next - t
             # land on the record time instead of leaving a roundoff-sized sliver
-            if remaining <= dt * (1.0 + 1e-9):
+            if remaining <= dt * (1.0 + _SLACK):
                 dt = remaining
             try:
-                state = step(ref, state, dt, trace=trace)
+                if matrix is None or not matrix.fits(state, dt):
+                    matrix = step_matrix(state, dt)
+                    trace.factorizations += 1
+                state = step(ref, state, dt, matrix, trace=trace)
             except StepRejected as exc:
                 trace.rejections.append((t, dt, exc.min_ahat, exc.min_bhat))
                 dt *= 0.5

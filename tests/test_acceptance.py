@@ -151,6 +151,9 @@ def test_criterion_03_flow_behavior(long_flow):
         f"final scal spread {scal_spread:.1e}, runtime {elapsed:.0f}s "
         f"({trace.velocity_evals} velocity evaluations, {trace.factorizations} "
         f"factorizations, {trace.accepted} steps, {trace.rejected} rejections)")
+    # one step matrix for the record spacing and one for the last, shorter
+    # step: near Fubini-Study r and q never drift 10% from the first state's
+    assert trace.factorizations == 2
 
 
 def test_criterion_04_variational_identities():

@@ -5,6 +5,7 @@ from scipy.sparse import diags
 
 import dataclasses
 import functools
+import math
 import os
 import subprocess
 import sys
@@ -17,7 +18,9 @@ from krflow.errors import ConfigError, FlowAborted, KrflowError, NotInPotentialS
 from krflow.flow import (
     FlowConfig,
     TRACE_COLUMNS,
+    _DRIFT,
     _GAMMA,
+    _SLACK,
     _jacobian_band,
     _record,
     _ros2,
@@ -26,6 +29,7 @@ from krflow.flow import (
     c_omega_estimate,
     run,
     step,
+    step_matrix,
 )
 from krflow.functionals import Energies, dirichlet, fubini_study_reference
 from krflow.verification import _identity_rhs, tolerance
@@ -42,6 +46,15 @@ from krflow.geometry import (
 
 ZERO = RadialPotential((0.0,))
 TILT = RadialPotential((0.0, 0.2))
+# far from Fubini-Study: the first draws of default_rng(5), 9 coefficients
+# uniform in [-2, 2] each, whose state at N = 512 has min(Ahat, Bhat) >= 0.03,
+# at n = 1 and, continuing the same stream, the second at n = 2
+FAR_N1 = RadialPotential((0.7067574073242642, -1.7567891481677758, 0.22238446768289366,
+                          -0.9141935818795939, 1.5186046933396886, -1.743142250751236,
+                          0.7167261320854599, 1.4803540093100134, -1.0907258993563675))
+FAR_N2 = RadialPotential((0.853311671645947, -1.2407406193824908, -0.6708896024464486,
+                          -0.29893003400889295, -0.4548589840765289, 0.7285674348596536,
+                          1.1534137231973434, -0.6582790891210228, -0.23513383275042354))
 # the positivity minima the patched velocity kernel raises with (see _cone_exit)
 FAILED_MINS = (-0.5, 0.25)
 
@@ -96,20 +109,22 @@ def test_fixed_point_is_stationary(small_config):
 def test_step_richardson_order(small_config):
     # phi + dt v(phi) differs from the second-order ROS2 update by O(dt^2);
     # the step re-zeroes its result at the midpoint, so the Euler update is
-    # compared re-zeroed too
+    # compared re-zeroed too. ROS2 is a W-method: the order holds also with
+    # the step matrix built at another state (the reference's) than the start
     ref = fubini_study_reference(small_config)
     g = small_config.grid
     phi = TILT.values(g)
     start = state_from(ref.state, phi)
     v = Energies.at(ref, TILT).velocity
-    gaps = []
-    for dt in (1e-3, 5e-4):
-        # the Fubini-Study base is 0, so this is the relative potential exactly
-        updated = step(ref, start, dt).phi_total - ref.state.phi_total
-        euler = phi + dt * v
-        gaps.append(np.abs(updated - (euler - euler[g.size // 2])).max())
-    ratio = gaps[0] / gaps[1]
-    assert 3.0 < ratio < 5.0
+    for at in (start, ref.state):
+        gaps = []
+        for dt in (1e-3, 5e-4):
+            # the Fubini-Study base is 0, so this is the relative potential exactly
+            updated = step(ref, start, dt, step_matrix(at, dt)).phi_total - ref.state.phi_total
+            euler = phi + dt * v
+            gaps.append(np.abs(updated - (euler - euler[g.size // 2])).max())
+        ratio = gaps[0] / gaps[1]
+        assert 3.0 < ratio < 5.0
 
 
 def test_step_accuracy_at_record_spacing():
@@ -133,10 +148,11 @@ def _cone_exit(monkeypatch, start, stop, longest=0.0):
     FAILED_MINS) in every step longer than ``longest`` that overlaps the
     flow-time window (start, stop). A step calls the kernel at its stage
     only (f0 comes from the start's handed-over state), so the step is
-    rejected after its factorization. Flow time is the sum of the steps that
-    ``flow.step`` accepted, as ``run`` takes them. A step counts as longer
-    only beyond the relative slack 1e-9 that ``run``'s landing rule allows,
-    so the roundoff of a halved step t_next - t does not reject it."""
+    rejected after its step matrix was built or reused. Flow time is the
+    sum of the steps that ``flow.step`` accepted, as ``run`` takes them. A
+    step counts as longer only beyond the relative slack 1e-9 that ``run``'s
+    landing rule allows, so the roundoff of a halved step t_next - t does
+    not reject it."""
     clock = {"t": 0.0, "dt": 0.0}
     real_step, real_velocity = flow.step, _kernels.velocity
 
@@ -162,7 +178,8 @@ def test_step_rejects_large_dt(small_config, monkeypatch):
     # the same step raises StepRejected with the minima that failed
     ref = fubini_study_reference(small_config)
     start = make_state(small_config, TILT)
-    assert step(ref, start, 100.0).ahat.min() > 0.0
+    matrix = step_matrix(start, 100.0)
+    assert step(ref, start, 100.0, matrix).ahat.min() > 0.0
     # the explicit RK4 reference integrator leaves the cone at dt = 1e3
     g = small_config.grid
     total = ref.state.phi_total + TILT.values(g)
@@ -170,7 +187,7 @@ def test_step_rejects_large_dt(small_config, monkeypatch):
         _kernels.rk4_step(total, 1e3, _shift_profile(ref), g, 1)
     _cone_exit(monkeypatch, 0.0, 1.0)
     with pytest.raises(StepRejected) as info:
-        flow.step(ref, start, 100.0)
+        flow.step(ref, start, 100.0, matrix)
     assert (info.value.min_ahat, info.value.min_bhat) == FAILED_MINS
     assert "min Ahat -0.5" in str(info.value)
 
@@ -273,10 +290,14 @@ def test_run_rejection_and_halving(small_config, monkeypatch):
                                                       (0.1, h / 2) + FAILED_MINS], atol=1e-12)
     for t, dt, min_a, min_b in trace.rejections:
         assert 0.1 - 1e-12 <= t < 0.2025 and dt > h / 4 * (1.0 + 1e-9)
-    # a rejected step stops at its stage velocity, after the factorization:
-    # two velocity evaluations and one factorization per attempted step
+    # a rejected step stops at its stage velocity: two velocity evaluations
+    # per attempted step. The step matrix is refreshed at the first step, on
+    # each rejection (its halved dt) and once per interval that starts at h
+    # again after a halved one: the 11 intervals with a rejection
     assert trace.velocity_evals == 2 * (trace.accepted + trace.rejected)
-    assert trace.factorizations == trace.accepted + trace.rejected
+    intervals = {round(t / h) for t, *_ in trace.rejections}
+    assert len(intervals) == 11
+    assert trace.factorizations == 1 + trace.rejected + len(intervals) == 34
     assert trace.accepted > plain.accepted
     assert [rec.t for rec in trace.records] == pytest.approx(
         [h * k for k in range(51)], abs=1e-12)
@@ -407,9 +428,122 @@ def test_rejection_halving_holds_to_the_record_time(small_config, monkeypatch):
     assert trace.accepted == len(sizes) - 3 == 57
     assert [rec.t for rec in trace.records] == pytest.approx(
         [h * k for k in range(51)], abs=1e-12)
-    # the forced rejections raise before the step evaluates anything
+    # the forced rejections raise before the step evaluates anything; the
+    # step matrix is refreshed at h, h / 2, h / 4, h / 8 and at h again
     assert trace.velocity_evals == 2 * trace.accepted
-    assert trace.factorizations == trace.accepted
+    assert trace.factorizations == 1 + trace.rejected + 1 == 5
+
+
+@pytest.mark.parametrize("n", (1, 2))
+def test_step_matrix_fits_within_the_slack_and_the_drift(n):
+    # a step matrix serves a step whose dt is within _SLACK of its own, from
+    # a state whose r and (where n > 1) q are within _DRIFT of its own at
+    # every node; n = 1 reads no q
+    config = ManifoldConfig(n=n, grid=build_grid(64))
+    state = make_state(config, TILT)
+    dt = 0.01
+    matrix = step_matrix(state, dt)
+    assert matrix.dt == dt and matrix.r is state.r and matrix.q is state.q
+    assert matrix.fits(state, dt) and matrix.fits(state, dt * (1.0 + 0.5 * _SLACK))
+    assert not matrix.fits(state, dt * (1.0 + 2.0 * _SLACK))
+    assert not matrix.fits(state, dt / 2.0)
+    for name in ("r", "q"):
+        for scale in (1.0 - 0.9 * _DRIFT, 1.0 + 0.9 * _DRIFT, 1.0 - 1.1 * _DRIFT,
+                      1.0 + 1.1 * _DRIFT):
+            moved = getattr(state, name).copy()
+            moved[7] *= scale
+            drifted = dataclasses.replace(state, **{name: moved})
+            expected = abs(scale - 1.0) <= _DRIFT or (name == "q" and n == 1)
+            assert matrix.fits(drifted, dt) == expected, (name, scale)
+
+
+def test_run_refreshes_the_step_matrix_by_the_rule(monkeypatch):
+    # spying on the matrix builder and the step along a flow far from
+    # Fubini-Study with one forced rejection: every step uses the matrix of
+    # the last refresh, and run refreshes it, at the state it steps from,
+    # exactly when dt has left the matrix's slack or r or q has drifted past
+    # _DRIFT. Steps within the slack reuse it; the rejection's halved dt,
+    # the return to the record spacing, the landing of the last step and the
+    # drift each refresh it
+    built, attempts = [], []
+    real_build, real_step = flow.step_matrix, flow.step
+
+    def build(state, dt):
+        built.append(real_build(state, dt))
+        return built[-1]
+
+    def spy(ref, state, dt, matrix, *args, **kwargs):
+        attempts.append((state, dt, matrix, len(built)))
+        if len(attempts) == 20:
+            raise StepRejected("forced")
+        return real_step(ref, state, dt, matrix, *args, **kwargs)
+
+    monkeypatch.setattr(flow, "step_matrix", build)
+    monkeypatch.setattr(flow, "step", spy)
+    trace = run(FlowConfig(manifold=ManifoldConfig(n=2, grid=build_grid(512)), initial=FAR_N2,
+                           t_max=1.0, record_every=200))
+    assert trace.rejected == 1 and trace.factorizations == len(built)
+    causes = {"dt": 0, "drift": 0, "reuse": 0}
+    previous = 0
+    for state, dt, matrix, count in attempts:
+        assert matrix is built[count - 1]
+        if count == previous:
+            causes["reuse"] += 1
+            continue
+        assert count == previous + 1
+        assert matrix.r is state.r and matrix.dt == dt
+        if previous:
+            old = built[previous - 1]
+            moved = max(np.abs(state.r / old.r - 1.0).max(), np.abs(state.q / old.q - 1.0).max())
+            stale_dt = abs(dt - old.dt) > _SLACK * dt
+            assert stale_dt or moved > _DRIFT
+            causes["dt" if stale_dt else "drift"] += 1
+        previous = count
+    # the rejection, the return to h, the landing; the drift refreshes
+    assert causes["dt"] == 3 and causes["drift"] >= 1
+    assert causes["reuse"] == len(attempts) - len(built) > 100
+    # and every step's matrix fits it by the rule
+    for state, dt, matrix, _ in attempts:
+        assert abs(dt - matrix.dt) <= _SLACK * dt
+        assert np.abs(state.r / matrix.r - 1.0).max() <= _DRIFT
+        assert np.abs(state.q / matrix.q - 1.0).max() <= _DRIFT
+
+
+def test_far_flow_needs_the_drift_refresh(monkeypatch):
+    # a flow far from Fubini-Study (min positivity 0.12 along it): with the
+    # drift refresh it takes one step per record interval, as with a fresh
+    # matrix every step, rejects none and passes the flow gates on 13 step
+    # matrices. Refreshed on a change of dt alone, the stale matrix stops
+    # damping the stiff modes as r moves (see _DRIFT): steps leave the cone
+    config = FlowConfig(manifold=ManifoldConfig(n=1, grid=build_grid(512)), initial=FAR_N1,
+                        t_max=4.0, record_every=200)
+    trace = run(config)
+    assert trace.accepted == len(trace.records) - 1 == 713
+    assert trace.rejected == 0
+    assert not flow_gate_failures(trace)
+    assert trace.factorizations == 13
+    monkeypatch.setattr(flow, "_DRIFT", math.inf)
+    stale = run(config)
+    assert stale.rejected > 0
+    assert min(min_a for _, _, min_a, _ in stale.rejections if min_a is not None) < 0.0
+
+
+@pytest.mark.parametrize("n, size, initial, t_max, record_every, steps", [
+    # a round of the flow benchmark
+    (1, 1024, RadialPotential((0.0, 0.2, 3e-4, -6.9e-3)), 0.055, 1000, 6),
+    # the verify suites' flows
+    (1, 512, TILT, 0.5, 100, 126),
+    (2, 512, TILT, 0.5, 100, 85),
+    (3, 512, TILT, 0.5, 100, 64),
+])
+def test_one_step_matrix_per_step_size(n, size, initial, t_max, record_every, steps):
+    # near Fubini-Study nothing drifts 10%: one step matrix serves the record
+    # spacing and one the last, shorter step
+    trace = run(FlowConfig(manifold=ManifoldConfig(n=n, grid=build_grid(size)),
+                           initial=initial, t_max=t_max, record_every=record_every))
+    assert (trace.accepted, trace.rejected) == (steps, 0)
+    assert trace.velocity_evals == 2 * steps
+    assert trace.factorizations == 2
 
 
 def _fd_jacobian(ref, phi, h=1e-6):
@@ -635,30 +769,34 @@ def _singular(band):
 
 
 def test_singular_step_matrix_rejects_step(small_config, monkeypatch):
-    # an exactly singular band raises LinAlgError; in a step it is a
-    # rejection without minima, and the run halves dt and goes on
+    # an exactly singular band raises LinAlgError; as a step matrix it is a
+    # rejection without minima, taken before the step evaluates any
+    # velocity, and the run halves dt and goes on
     band = np.zeros((33, 2 * HALF_BAND + 1))
     band[:, HALF_BAND] = 1.0
     with pytest.raises(np.linalg.LinAlgError):
         banded.factor(_singular(band))
     sizes = []
-    real_step, real_factor = flow.step, banded.factor
+    real_build, real_factor = flow.step_matrix, banded.factor
 
-    def timed_step(ref, phi, dt, *args, **kwargs):
+    def build(state, dt):
         sizes.append(dt)
-        return real_step(ref, phi, dt, *args, **kwargs)
+        return real_build(state, dt)
 
     def factor(system):
         return real_factor(_singular(system) if len(sizes) == 1 else system)
 
-    monkeypatch.setattr(flow, "step", timed_step)
+    monkeypatch.setattr(flow, "step_matrix", build)
     monkeypatch.setattr(banded, "factor", factor)
     h = 0.01
     trace = run(FlowConfig(manifold=small_config, initial=TILT, t_max=0.05,
                            record_every=100, dt_init=h / 100))
     assert sizes[:2] == pytest.approx([h, h / 2], rel=1e-12)
     assert trace.rejections == [(0.0, sizes[0], None, None)]
-    assert trace.factorizations == trace.accepted
+    # the singular refresh counts no factorization and no velocity; the
+    # halved dt refreshes, and so does h in the next interval
+    assert trace.factorizations == len(sizes) - 1 == 2
+    assert trace.velocity_evals == 2 * trace.accepted
     assert trace.records[-1].t == pytest.approx(0.05, abs=1e-12)
 
 
@@ -670,17 +808,27 @@ def test_missing_lapack_is_a_typed_error():
         banded._routines(ctypes.CDLL(ctypes.util.find_library("c")))
 
 
+def _amplification(z, s):
+    """|R| of the step on y' = z y with dt = 1, with the step matrix's
+    eigenvalue s z in place of z (s = 1: the exact Jacobian)."""
+    return np.abs(_ros2(lambda y: z * y, lambda v: v / (1.0 - _GAMMA * s * z),
+                        np.ones_like(z), z, 1.0))
+
+
 @pytest.mark.parametrize("n", (2, 3))
 @pytest.mark.parametrize("size", (256, 512))
 def test_ros2_is_stable_on_jacobian(n, size):
     # |R(dt lambda)| over the eigenvalues of the velocity's Jacobian, with R
     # the step's own update on y' = lambda y, for steps from dt0 up to
     # criterion 3's record spacing (1000 dt0) and beyond (10 to 1e4). The
-    # step grows no mode that the exact flow damps. The few modes the exact
-    # flow grows (the constant gauge mode, which run removes, and modes near
-    # it) the step grows by at most its local error beyond e^z, (gamma
-    # (1 - gamma) - 1/6) z^3 ~ 0.04 z^3, up to 1000 dt0; R's pole at
-    # z = 1/gamma ~ 3.4 lies beyond that
+    # step grows no mode that the exact flow damps, also with a step matrix
+    # whose eigenvalues are s = 1 -+ _DRIFT times the Jacobian's (a matrix
+    # built where r was 10% off). The few modes the exact flow grows (the
+    # constant gauge mode, which run removes, and modes near it) the step
+    # grows by at most its local error beyond e^z, (gamma (1 - gamma) - 1/6)
+    # z^3 ~ 0.04 z^3, up to 1000 dt0; R's pole at z = 1/gamma ~ 3.4 lies
+    # beyond that. At s = 0.8 the stiff modes grow: R tends to 1 - 2a + a^2/2,
+    # a = 1/(gamma s), whose modulus exceeds 1 below s = 1/(4 gamma) ~ 0.854
     config = ManifoldConfig(n=n, grid=build_grid(size))
     ref = fubini_study_reference(config)
     for phi in (TILT, RadialPotential((0.0, 0.2, 0.1))):
@@ -693,13 +841,14 @@ def test_ros2_is_stable_on_jacobian(n, size):
         accurate = np.geomspace(dt0, 1000.0 * dt0, 13)
         for dt in np.concatenate((accurate, np.geomspace(10.0, 1e4, 4))):
             z = dt * eig
-            amplification = np.abs(_ros2(lambda y: z * y, lambda v: v / (1.0 - _GAMMA * z),
-                                         np.ones_like(z), z, 1.0))
-            assert (amplification[~growing] - 1.0).max() <= 1e-9, (phi, dt)
+            for s in (1.0 - _DRIFT, 1.0, 1.0 + _DRIFT):
+                assert (_amplification(z, s)[~growing] - 1.0).max() <= 1e-9, (phi, dt, s)
+            amplification = _amplification(z, 1.0)
             if dt <= accurate[-1]:
                 exact = np.abs(np.exp(z[growing]))
                 excess = amplification[growing] - exact
                 assert (excess - 0.1 * np.abs(z[growing]) ** 3 * exact).max() <= 1e-9, (phi, dt)
+        assert _amplification(z, 0.8)[~growing].max() > 1.5
 
 
 def test_long_flow_n3_meets_criterion_3():
@@ -714,6 +863,8 @@ def test_long_flow_n3_meets_criterion_3():
     assert not flow_gate_failures(trace)
     assert final.scal_max - final.scal_min <= 1e-3
     assert trace.min_positivity() > 0.0
+    # one step matrix for the record spacing, one for the last, shorter step
+    assert trace.factorizations == 2
 
 
 @pytest.mark.parametrize("n", (1, 2, 3))
