@@ -6,7 +6,9 @@ column band storage of M with w sub- and w superdiagonals, preceded by w
 zero rows for the fill-in that row interchanges create (Anderson et al.,
 LAPACK Users' Guide, 3rd ed., 1999, section 5.3.3), and runs ``dgbtrf`` on
 it; ``solve`` runs ``dgbtrs`` with TRANS = 'N'. The gather is paid once per
-factorization, and every solve with the factors is untransposed.
+factorization, and so are ``dgbtrs``'s leading arguments (TRANS, the sizes
+and the addresses of the read-only factors and pivots, which the factored
+tuple keeps alive): every solve passes only its right-hand side.
 
 The routines are the ones numpy itself links: its bundled scipy-openblas64
 (ILP64, every integer 64-bit), found through the dependencies of
@@ -58,8 +60,8 @@ def _lapack():
 
 def factor(band):
     """LU-factor the banded matrix ``band`` (rows x (2w + 1)); returns the
-    ``(lu, pivots)`` that ``solve`` takes. Raises numpy.linalg.LinAlgError
-    when the matrix is exactly singular."""
+    ``(lu, pivots, dgbtrs arguments up to B)`` that ``solve`` takes. Raises
+    numpy.linalg.LinAlgError when the matrix is exactly singular."""
     m, width = band.shape
     w = width // 2
     if width != 2 * w + 1:
@@ -77,20 +79,18 @@ def factor(band):
         raise np.linalg.LinAlgError(f"banded matrix is singular: pivot {info.value} is 0")
     if info.value < 0:
         raise ValueError(f"dgbtrf rejected argument {-info.value}")
-    return lu, pivots
+    lu.flags.writeable = pivots.flags.writeable = False
+    return lu, pivots, (b"N", size, half, half, _INT(1), lu.ctypes.data, ld, pivots.ctypes.data)
 
 
 def solve(factored, rhs):
     """Solve M x = ``rhs`` with the factorization ``factor`` returned."""
-    lu, pivots = factored
-    m, ld = lu.shape  # ld = 3w + 1
+    _, pivots, leading = factored
     x = np.array(rhs, dtype=np.float64)
-    if x.shape != (m,):
-        raise ValueError(f"right-hand side must have shape ({m},), got {x.shape}")
+    if x.shape != pivots.shape:
+        raise ValueError(f"right-hand side must have shape {pivots.shape}, got {x.shape}")
     info = _INT()
-    size, half, one, ldab = _INT(m), _INT(ld // 3), _INT(1), _INT(ld)
-    _lapack()[1](b"N", size, half, half, one, lu.ctypes.data, ldab, pivots.ctypes.data,
-                 x.ctypes.data, size, info, 1)
+    _lapack()[1](*leading, x.ctypes.data, leading[1], info, 1)  # B, LDB = N, INFO, len(TRANS)
     if info.value != 0:
         raise ValueError(f"dgbtrs rejected argument {-info.value}")
     return x

@@ -7,10 +7,10 @@ the 0/0 forms at the endpoints are resolved by one-sided quintic extrapolation.
 
 This module owns the discretization. The grid supplies the derivative
 (``d_dx``, the ``_kernels`` stencil under a second name), the quadrature
-weights (``Grid.quad_weights``, composite Simpson), the endpoint quotient
-f/(x(1-x)) (``over_xm``), the antiderivative (``cumulative_dx``) and the
-stencil's operator bands (``derivative_bands``), which the flow assembles
-its Jacobian from.
+(``Grid.quad_rows``: Simpson's rule and the endpoint quotient folded into
+one product), the quotient f/(x(1-x)) (``over_xm``), the antiderivative
+(``cumulative_dx``) and the stencil's operator bands (``derivative_bands``),
+which the flow assembles its Jacobian from.
 
 All operations are pure functions of their inputs; profiles are plain float64
 arrays with one value per node and are never mutated.
@@ -39,6 +39,9 @@ class Grid:
 
     ``size`` must be even so one composite quadrature rule covers the domain.
     Cached node profiles: ``x`` (nodes), ``xm`` = x(1-x), ``omx`` = 1-x.
+    ``quad_rows`` takes f's interior nodes to Simpson's sum of ``over_xm(f)``
+    (row 0) and to that sum plus its endpoint value at x = 0 or 1 (rows 1, 2):
+    no weight is zero, so an infinite node never meets 0 (inf * 0 warns).
     """
 
     size: int
@@ -46,7 +49,7 @@ class Grid:
     x: np.ndarray
     xm: np.ndarray
     omx: np.ndarray
-    quad_weights: np.ndarray = field(repr=False)
+    quad_rows: np.ndarray = field(repr=False)
 
 
 def build_grid(size):
@@ -60,14 +63,16 @@ def build_grid(size):
     dx = 1.0 / n
     xm = x * (1.0 - x)
     omx = 1.0 - x
-    # composite Simpson weights; fourth-order for smooth integrands
-    w = np.full(n + 1, 2.0)
-    w[1::2] = 4.0
-    w[0] = w[-1] = 1.0
-    w *= dx / 3.0
-    for arr in (x, xm, omx, w):
+    # composite Simpson weights (fourth order) of the interior nodes; dx/3 at each endpoint
+    w = np.full(n - 1, 2.0)
+    w[::2] = 4.0
+    ends = np.zeros((2, n - 1))  # ``over_xm``'s extrapolations to x = 0 and x = 1
+    ends[0, :6] = ends[1, :-7:-1] = (6.0, -15.0, 20.0, -15.0, 6.0, -1.0)
+    simpson = (w + ends[0] + ends[1]) * (dx / 3.0)
+    rows = np.vstack((simpson, simpson + ends)) / xm[1:-1]
+    for arr in (x, xm, omx, rows):
         arr.setflags(write=False)
-    return Grid(size=n, dx=dx, x=x, xm=xm, omx=omx, quad_weights=w)
+    return Grid(size=n, dx=dx, x=x, xm=xm, omx=omx, quad_rows=rows)
 
 
 def d_ds(values, grid):
@@ -95,19 +100,21 @@ def over_xm(values, grid):
 def integrate_ds(values, grid):
     """Integral of f ds over the whole chart, i.e. of f(x)/(x(1-x)) dx.
 
-    The integrand (``over_xm``) is fed to the composite rule. Raises
-    DivergentIntegrand unless both extrapolated endpoint values are finite
-    and within ``ENDPOINT_BOUND`` (else the integral almost surely diverges)
-    and the quadrature is finite, which a non-finite interior node is not.
+    The composite rule on ``over_xm(f)``, as one product with ``quad_rows``.
+    Raises DivergentIntegrand at a non-finite node (an interior one makes the
+    quadrature non-finite) and unless both extrapolated endpoint values are
+    within ``ENDPOINT_BOUND`` (else the integral almost surely diverges).
     """
-    g = over_xm(values, grid)
-    lo, hi = float(g[0]), float(g[-1])
+    f = nodal(values, grid)
+    if not (math.isfinite(f[0]) and math.isfinite(f[-1])):
+        raise DivergentIntegrand(f"non-finite endpoint node: {f[0]} at x = 0, {f[-1]} at x = 1")
+    total, lo, hi = (grid.quad_rows @ f[1:-1]).tolist()
+    if not math.isfinite(total):
+        raise DivergentIntegrand(f"quadrature of the integrand is {total}")
+    lo, hi = lo - total, hi - total
     if not (abs(lo) <= ENDPOINT_BOUND and abs(hi) <= ENDPOINT_BOUND):
         raise DivergentIntegrand(
             f"extrapolated endpoint values ({lo:.3e}, {hi:.3e}) exceed bound {ENDPOINT_BOUND:.1e}")
-    total = float(grid.quad_weights @ g)
-    if not math.isfinite(total):
-        raise DivergentIntegrand(f"quadrature of the integrand is {total}")
     return total
 
 

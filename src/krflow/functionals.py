@@ -255,9 +255,11 @@ def c_omega_estimate(ref):
     """The reference constant, measured as the identity residual at phi = 0.
 
     Equal (within discretization error) to the residual at any other
-    potential and at any flow time. Reads ``ref.state``; builds no state.
+    potential and at any flow time. At phi = 0 the mixed averages are 0 and
+    nu's and E1's entropy averages exactly -c0 and -c1, so the residual is
+    -Dirichlet(-h) = -Dirichlet(h) bit for bit (``0.0 -`` keeps +0.0 at h = 0).
     """
-    return Energies(ref, ref.state, np.zeros_like(ref.state.phi_total)).residual
+    return 0.0 - dirichlet(ref.state, ref.h)
 
 
 def futaki_of_state(state):

@@ -216,17 +216,57 @@ def test_integrate_flags_divergent_integrand(grid1024):
         integrate_ds(np.full(grid1024.size + 1, 1e7), grid1024)
 
 
-@pytest.mark.parametrize("side", [3, -4])
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("side", [0, 3, -4, -1])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_integrate_flags_nonfinite_endpoint(grid256, side, bad):
     # one non-finite quotient next to an endpoint makes its extrapolation
-    # NaN or infinite; no silent NaN comes back
+    # NaN or infinite, and a non-finite endpoint node, which the quotient
+    # does not read, is named as such; no silent NaN comes back, and no
+    # warning either
     f = grid256.xm * np.cos(grid256.x)
     f[side] = bad
-    endpoint = over_xm(f, grid256)[0 if side > 0 else -1]
-    assert not np.isfinite(endpoint)
-    with pytest.raises(DivergentIntegrand):
+    if side in (0, -1):
+        assert np.isfinite(over_xm(f, grid256)).all()
+        message = f"non-finite endpoint node: (.*, )?{bad} at x = {-side}"
+    else:
+        assert not np.isfinite(over_xm(f, grid256)[0 if side > 0 else -1])
+        message = None
+    with pytest.raises(DivergentIntegrand, match=message):
         integrate_ds(f, grid256)
+
+
+def _simpson(grid):
+    """Composite Simpson weights on ``grid``'s nodes, built here."""
+    w = np.full(grid.size + 1, 2.0)
+    w[1::2] = 4.0
+    w[0] = w[-1] = 1.0
+    return w * (grid.dx / 3.0)
+
+
+@pytest.mark.parametrize("size", [16, 256, 2048])
+def test_integrate_is_simpson_of_over_xm(size, rng):
+    # the folded rows against the rule they fold: Simpson's weights applied
+    # to ``over_xm(f)`` give the integral, and rows 1 and 2 less row 0 give
+    # the two extrapolated endpoint values the bound is tested on, within
+    # 1e-14 of the sum of the absolute terms (the rule's and the
+    # extrapolations'), since the summation order differs. The rows are
+    # read-only and have no zero entry
+    g = build_grid(size)
+    assert g.quad_rows.shape == (3, size - 1) and (g.quad_rows != 0.0).all()
+    assert not g.quad_rows.flags.writeable
+    w = _simpson(g)
+    ext = np.array([6.0, -15.0, 20.0, -15.0, 6.0, -1.0])
+    for _ in range(50):
+        f = g.xm * rng.standard_normal(size + 1)
+        q = over_xm(f, g)
+        terms = (np.abs(w[1:-1] * q[1:-1]).sum()
+                 + (1.0 + w[0]) * np.abs(ext * q[1:7]).sum()
+                 + (1.0 + w[-1]) * np.abs(ext * q[-2:-8:-1]).sum())
+        assert abs(integrate_ds(f, g) - w @ q) <= 1e-14 * terms
+        total, lo, hi = g.quad_rows @ f[1:-1]
+        assert abs(lo - total - q[0]) <= 1e-14 * terms
+        assert abs(hi - total - q[-1]) <= 1e-14 * terms
 
 
 def test_over_xm_bits_match_the_plain_extrapolation(grid512, rng):

@@ -5,6 +5,7 @@ from scipy.sparse import diags
 
 import dataclasses
 import functools
+import gc
 import math
 import os
 import subprocess
@@ -31,7 +32,7 @@ from krflow.flow import (
     step,
     step_matrix,
 )
-from krflow.functionals import Energies, dirichlet, fubini_study_reference
+from krflow.functionals import Energies, fubini_study_reference
 from krflow.verification import _identity_rhs, tolerance
 from krflow.geometry import (
     ManifoldConfig,
@@ -380,15 +381,22 @@ def test_reference_none_is_a_config_error(small_config):
         run(cfg)
 
 
-def test_c_omega_estimate(small_config):
-    ref = fubini_study_reference(small_config)
-    assert c_omega_estimate(ref) == 0.0
+def test_c_omega_estimate():
+    # the estimate is the identity residual at phi = 0, byte for byte, at
+    # Fubini-Study (+0.0), at a bent reference and at sampled ones
     from krflow.functionals import make_reference
-    from krflow.geometry import make_state
-    bent = make_reference(make_state(small_config, RadialPotential((0.0, 0.2, 0.1))))
-    est = c_omega_estimate(bent)
-    assert est == pytest.approx(-dirichlet(bent.state, -bent.h), abs=1e-15)
-    assert est < 0.0
+    from krflow.geometry import sample_admissible
+    for n in (1, 2, 3):
+        config = ManifoldConfig(n=n, grid=build_grid(128))
+        fs = fubini_study_reference(config)
+        assert c_omega_estimate(fs).hex() == (0.0).hex()
+        refs = [fs, make_reference(make_state(config, RadialPotential((0.0, 0.2, 0.1))))]
+        refs += [make_reference(state_from(fs.state, phi.values(config.grid)))
+                 for phi in sample_admissible(config, np.random.default_rng(n), 3)]
+        for ref in refs:
+            residual = Energies(ref, ref.state, np.zeros(config.grid.size + 1)).residual
+            assert c_omega_estimate(ref).hex() == residual.hex(), n
+        assert all(c_omega_estimate(ref) < 0.0 for ref in refs[1:]), n
 
 
 def test_c_omega_same_across_initial_data(small_config):
@@ -759,6 +767,28 @@ def test_banded_solve_pivots():
             x = banded.solve(factored, rhs)
             expected = np.linalg.solve(_dense(band), rhs)
             assert np.abs(x - expected).max() <= 1e-10 * np.abs(expected).max()
+
+
+def test_banded_factors_serve_many_solves():
+    # one factorization solves right-hand side after right-hand side, also
+    # after the caller dropped its band and a collection ran, with the same
+    # bits each time; its factors and pivots are read-only
+    rng = np.random.default_rng(11)
+    band = rng.standard_normal((65, 2 * HALF_BAND + 1))
+    band[:, HALF_BAND] += 8.0
+    dense = _dense(band)
+    factored = banded.factor(band)
+    del band
+    gc.collect()
+    lu, pivots = factored[:2]
+    assert not lu.flags.writeable and not pivots.flags.writeable
+    for _ in range(3):
+        rhs = rng.standard_normal(65)
+        x = banded.solve(factored, rhs)
+        expected = np.linalg.solve(dense, rhs)
+        assert np.abs(x - expected).max() <= 1e-12 * np.abs(expected).max()
+        gc.collect()
+        assert banded.solve(factored, rhs).tobytes() == x.tobytes()
 
 
 def _singular(band):

@@ -463,9 +463,10 @@ def test_evaluate_report(rng, monkeypatch):
             # own state nor a flow record's state reads J; the reference's
             # volume density was read when it was made, the record's state
             # derives its own on first read, and a record adds the Futaki
-            # invariant
+            # invariant. The constant C_omega at the reference is its one
+            # Dirichlet term
             assert (wedges, averages) == (n + 1, 2 * n + 4), n
-            assert at_ref == (n, n + 4) and at_record == (n + 1, n + 5), n
+            assert at_ref == (0, 1) and at_record == (n + 1, n + 5), n
             assert report.j == j_energy(ref, phi)
             assert report.nu == Energies.at(ref, phi).nu
             assert report.e1 == Energies.at(ref, phi).e1
@@ -557,14 +558,16 @@ def nodal_entry_points():
     return g, points
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("name", ["make_state", "state_from", "evaluate", "Energies.at",
                                   "j_energy", "run", "Energies", "wedge_density", "d_dx", "d_ds",
                                   "integrate_ds", "average", "cumulative_dx", "laplacian",
                                   "dirichlet"])
 def test_malformed_nodal_input_raises_typed_errors(nodal_entry_points, name):
     # a nodal array of the wrong length is a ConfigError (a ValueError too);
-    # a non-finite node is an error of the array's role, never a NaN result.
-    # The well-formed array passes, so the errors come from the bad node
+    # a non-finite node is an error of the array's role, never a NaN result
+    # and never a warning. The well-formed array passes, so the errors come
+    # from the bad node
     g, points = nodal_entry_points
     call, nonfinite_error = points[name]
     good = 0.1 * g.x * g.xm
