@@ -14,7 +14,6 @@ from .errors import (
 from .flow import FlowConfig, FlowTrace, run, step, step_matrix
 from .functionals import (
     Energies,
-    FunctionalReport,
     Reference,
     c_omega_estimate,
     dirichlet,
@@ -54,7 +53,7 @@ kernel_backend = "python"
 
 __all__ = [
     "ConfigError", "DivergentIntegrand", "Energies", "ExpressionMismatch",
-    "FlowAborted", "FlowConfig", "FlowTrace", "FunctionalReport", "Grid",
+    "FlowAborted", "FlowConfig", "FlowTrace", "Grid",
     "KrflowError", "ManifoldConfig", "MetricState", "NotInPotentialSpace",
     "RadialForm", "RadialPotential", "Reference", "StepRejected",
     "SuiteConfig", "SuiteReport", "VariationalCheck", "average", "background",

@@ -52,8 +52,10 @@ class Grid:
     quad_rows: np.ndarray = field(repr=False)
 
 
+@lru_cache(maxsize=8)
 def build_grid(size):
-    """Uniform grid with the given (even, >= 16) panel count."""
+    """Uniform grid with the given (even, >= 16) panel count; one shared,
+    read-only Grid per size while it stays among the 8 sizes last built."""
     n = int(size)
     if n != size or n < MIN_SIZE:
         raise ConfigError(f"grid size must be an integer >= {MIN_SIZE}, got {size}")
@@ -134,20 +136,16 @@ def cumulative_dx(values, grid):
     return out
 
 
+@lru_cache(maxsize=4)
 def derivative_bands(grid):
     """The ``d_dx`` stencil D and K = D diag(x(1-x)) D on ``grid``, as
     read-only bands ``band[i, k] = M[i, i + k - HALF_BAND]``.
 
     Read off 2 * HALF_BAND + 1 colored probes through ``d_dx`` (columns that
     far apart never share a row), so they are the stencil's own operators.
-    Cached by grid size: every Grid of one size has the same bands.
+    Cached per grid, and ``build_grid`` gives one grid per size.
     """
-    return _derivative_bands(grid.size)
-
-
-@lru_cache(maxsize=4)
-def _derivative_bands(size):
-    g = build_grid(size)
+    size = grid.size
     width = 2 * HALF_BAND + 1
     rows = np.arange(size + 1)
     d_band = np.zeros((size + 1, width))
@@ -156,9 +154,9 @@ def _derivative_bands(size):
         probe = np.zeros(size + 1)
         probe[color::width] = 1.0
         cols = (color - rows + HALF_BAND) % width
-        d_probe = d_dx(probe, g)
+        d_probe = d_dx(probe, grid)
         d_band[rows, cols] = d_probe
-        k_band[rows, cols] = d_dx(g.xm * d_probe, g)
+        k_band[rows, cols] = d_dx(grid.xm * d_probe, grid)
     for band in (d_band, k_band):
         band.setflags(write=False)
     return d_band, k_band

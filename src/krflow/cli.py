@@ -75,7 +75,7 @@ def _reference_potential(parser):
 
 def _potential(parser, manifold):
     sec = parser["potential"]
-    if str(sec.get("random", "false")).lower() in ("1", "true", "yes"):
+    if sec.getboolean("random", fallback=False):
         rng = np.random.default_rng(int(sec.get("seed", 0)))
         return sample_admissible(
             manifold, rng, 1,
@@ -174,29 +174,24 @@ def cmd_flow(config_path, out_path):
 
 
 def cmd_eval(config_path, phi_text):
-    """Print the functional report for one potential; exit 1 when the
-    potential is not in the admissible cone."""
+    """Print the energies at one potential, then the Futaki invariant and
+    the reference's c0 and c1; exit 1 when the potential is not in the
+    admissible cone. The Futaki value is the reference state's: it is an
+    invariant of the class, the same at every potential. Every value is read
+    before the first line is printed, so an error leaves no partial report."""
     parser = load_config(config_path)
     manifold = _manifold(parser)
     ref = make_reference(state_from_total(manifold, _reference_potential(parser)))
     phi = RadialPotential(_parse_coeffs(phi_text))
     try:
-        report = evaluate(ref, phi)
+        energies = evaluate(ref, phi)
     except NotInPotentialSpace as exc:
         print(f"NotInPotentialSpace: {exc}", file=sys.stderr)
         return 1
-    for name, value in (
-        ("j", report.j),
-        ("j_mixed", report.j_mixed),
-        ("nu", report.nu),
-        ("e1", report.e1),
-        ("dirichlet", report.dirichlet),
-        ("residual", report.residual),
-        ("futaki", futaki_of_state(ref.state)),
-        ("c0", report.c0),
-        ("c1", report.c1),
-    ):
-        print(f"{name},{_fmt(value)}")
+    rows = [(name, getattr(energies, name))
+            for name in ("j", "j_mixed", "nu", "e1", "dirichlet", "residual")]
+    rows += [("futaki", futaki_of_state(ref.state)), ("c0", ref.c0), ("c1", ref.c1)]
+    sys.stdout.write("".join(f"{name},{_fmt(value)}\n" for name, value in rows))
     return 0
 
 

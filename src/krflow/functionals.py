@@ -14,10 +14,13 @@ a fixed-node gauge keeps that drift out of the quadratures without masking
 deliberately corrupted coefficient systems). ``Energies.uncentered`` holds
 the uncentered averages, which feel constants.
 
-J, nu and E1 weight the same n + 1 mixed averages <phi, ref^k wedge
-perturbed^(n-k)>. ``Energies`` derives them once per state, and each energy
-once, when first read; the public functionals, the flow's records and the
-verification suite's checks all read it.
+``evaluate`` is the one way from a potential to its energies: it builds the
+state once and returns its ``Energies``, which derive the n + 1 mixed
+averages <phi, ref^k wedge perturbed^(n-k)> that J, nu and E1 weight, and
+each energy once, when first read. An energy's error (a DivergentIntegrand,
+say) therefore raises where it is first read, not in ``evaluate``. The public
+functionals, the flow's records and the verification suite's checks all
+read ``Energies``.
 """
 
 import math
@@ -77,20 +80,6 @@ class Reference:
     @property
     def form(self):
         return self.state.form
-
-
-@dataclass(frozen=True)
-class FunctionalReport:
-    """Values of all functionals at one potential."""
-
-    j: float
-    j_mixed: float
-    nu: float
-    e1: float
-    dirichlet: float
-    residual: float
-    c0: float
-    c1: float
 
 
 def ricci_potential(state, normalization_offset=0.0):
@@ -171,12 +160,6 @@ class Energies:
         self.log_rel = state.log_density - ref.state.log_density
         self.mixed = [average(self.centered * wedge, ref.config) for wedge in self.wedges]
 
-    @classmethod
-    def at(cls, ref, phi, e1_coeffs=None):
-        """The energies at the potential ``phi`` relative to ``ref``."""
-        values = _potential_values(phi, ref.grid)
-        return cls(ref, state_from(ref.state, values), values, e1_coeffs)
-
     @cached_property
     def uncentered(self):
         """<phi, ref^k wedge state^(n-k)>, k = 0..n, uncentered."""
@@ -230,10 +213,20 @@ class Energies:
         return self.e1 - 2.0 * self.nu - self.dirichlet
 
 
+def evaluate(ref, phi, e1_coeffs=None):
+    """The ``Energies`` at the potential ``phi`` relative to ``ref``. The
+    one state (through ``state_from``; NotInPotentialSpace off the positive
+    cone) and its mixed averages are built here. J (both forms, unjudged),
+    nu, E1, the Dirichlet term and the residual are each computed when first
+    read, so their errors (a DivergentIntegrand, say) raise at that read."""
+    values = _potential_values(phi, ref.grid)
+    return Energies(ref, state_from(ref.state, values), values, e1_coeffs)
+
+
 def j_energy(ref, phi):
     """Generalized energy; checks that its two defining expressions agree to
     ``J_FORMS_TOL`` relative and returns the gradient form (which is >= 0)."""
-    energies = Energies.at(ref, phi)
+    energies = evaluate(ref, phi)
     j_grad, j_mixed = energies.j, energies.j_mixed
     if abs(j_grad - j_mixed) > J_FORMS_TOL * (1.0 + abs(j_grad)):
         raise ExpressionMismatch(f"gradient form {j_grad:.12e} and mixed form "
@@ -272,11 +265,3 @@ def futaki_of_state(state):
     invariant.
     """
     return average((state.ricci.b - state.form.b) * state.density, state.config)
-
-
-def evaluate(ref, phi, e1_coeffs=None):
-    """All functionals at one potential, sharing a single state build and
-    one set of mixed averages. J's two forms are reported, not judged."""
-    e = Energies.at(ref, phi, e1_coeffs)
-    return FunctionalReport(j=e.j, j_mixed=e.j_mixed, nu=e.nu, e1=e.e1, dirichlet=e.dirichlet,
-                            residual=e.residual, c0=ref.c0, c1=ref.c1)

@@ -60,7 +60,7 @@ def _variations(ref, phi, e1_coeffs):
     """The four identities' functionals at ``phi``, in ``IDENTITIES`` order:
     one ``Energies``' nu, E1 and J-type mixed sums of its uncentered averages."""
     n = ref.config.n
-    energies = Energies.at(ref, phi, e1_coeffs)
+    energies = evaluate(ref, phi, e1_coeffs)
     return (weighted_sum(np.full(n + 1, float(n + 1)), energies.uncentered), energies.nu,
             weighted_sum(e1_coefficients(n), energies.uncentered), energies.e1)
 
@@ -126,11 +126,11 @@ def cocycle_check(ref, phi1, phi2):
     with ref1 = re_reference(ref, phi1). It is generically of order one
     (eps^2/12 for the pair (eps x, 2 eps x) at n = 1).
     """
-    at_phi1 = Energies.at(ref, phi1)
+    at_phi1 = evaluate(ref, phi1)
     firsts = _cocycle_values(at_phi1)
     ref1 = make_reference(at_phi1.state)
-    totals = _cocycle_values(Energies.at(ref, phi2))
-    seconds = _cocycle_values(Energies.at(ref1, phi2 - phi1))
+    totals = _cocycle_values(evaluate(ref, phi2))
+    seconds = _cocycle_values(evaluate(ref1, phi2 - phi1))
     return {name: abs(total - first - second)
             / (1.0 + max(abs(total), abs(first), abs(second)))
             for name, total, first, second in zip(COCYCLES, totals, firsts, seconds)}
@@ -265,18 +265,27 @@ def run_suite(config):
     e1_coeffs[1] += config.b1_offset
     potentials = sample_admissible(manifold, rng, config.samples)
 
-    # energies at the sampled potentials (background reference); their
-    # residuals feed the background residual-constancy check below
-    reports = [evaluate(fs_ref, phi, e1_coeffs) for phi in potentials]
-    add("j_expressions_agree",
-        max(abs(r.j - r.j_mixed) / (1.0 + abs(r.j)) for r in reports))
-    add("j_nonneg", max(0.0, -min(r.j for r in reports)))
-
-    shift_drift = 0.0
-    for phi, report in zip(potentials[:3], reports):
-        shifted = evaluate(fs_ref, phi + RadialPotential((0.75,)), e1_coeffs)
-        shift_drift = max(shift_drift, abs(shifted.j - report.j),
-                          abs(shifted.nu - report.nu), abs(shifted.e1 - report.e1))
+    # energies at the sampled potentials (background reference), each read
+    # once while its state is live: J's two forms and the residual (for the
+    # background residual-constancy check) are kept as floats, the first
+    # three are shifted by a constant and the first five states give the
+    # class average of the scalar curvature
+    j_forms, fs_residuals = [], []
+    shift_drift = scal_worst = 0.0
+    for k, phi in enumerate(potentials):
+        energies = evaluate(fs_ref, phi, e1_coeffs)
+        j_forms.append((energies.j, energies.j_mixed))
+        fs_residuals.append(energies.residual)
+        if k < 3:
+            shifted = evaluate(fs_ref, phi + RadialPotential((0.75,)), e1_coeffs)
+            shift_drift = max(shift_drift, abs(shifted.j - energies.j),
+                              abs(shifted.nu - energies.nu), abs(shifted.e1 - energies.e1))
+        if k < 5:
+            scal = average(scalar_curvature(energies.state) * energies.state.density, manifold)
+            scal_worst = max(scal_worst, abs(scal - 2.0 * n))
+    del energies, shifted  # no state outlives its reads
+    add("j_expressions_agree", max(abs(j - j_mixed) / (1.0 + abs(j)) for j, j_mixed in j_forms))
+    add("j_nonneg", max(0.0, -min(j for j, _ in j_forms)))
     add("shift_invariance", shift_drift)
 
     # derivative identities against central differences
@@ -323,12 +332,7 @@ def run_suite(config):
         max(abs(a - b) for a in futaki_values for b in futaki_values))
 
     # scalar curvature class average
-    worst = 0.0
-    for phi in potentials[:5]:
-        state = state_from_total(manifold, phi)
-        worst = max(worst, abs(average(scalar_curvature(state) * state.density, manifold)
-                               - 2.0 * n))
-    add("scal_class_average", worst)
+    add("scal_class_average", scal_worst)
 
     # the energy identity residual is a constant of the reference
     for name, ref in (("residual_constancy_background", fs_ref),
@@ -336,9 +340,9 @@ def run_suite(config):
         residuals = [own[ref].residual]
         if ref is bent_ref:
             usable = sample_admissible(manifold, rng, config.samples, base=ref.state)
-            residuals += [Energies.at(ref, phi, e1_coeffs).residual for phi in usable]
+            residuals += [evaluate(ref, phi, e1_coeffs).residual for phi in usable]
         else:
-            residuals += [r.residual for r in reports]
+            residuals += fs_residuals
         spread = max(residuals) - min(residuals)
         add(name, spread / (1.0 + abs(residuals[0])))
 

@@ -14,7 +14,6 @@ from conftest import flow_gate_failures
 from krflow.calculus import build_grid, d_ds, integrate_ds
 from krflow.flow import FlowConfig, run
 from krflow.functionals import (
-    Energies,
     dirichlet,
     e1_coefficients,
     evaluate,
@@ -80,8 +79,8 @@ def residual_data():
                 else:
                     entry["config2048"] = config
                     entry["ref2048"] = ref
-                residuals = [Energies.at(ref, ZERO).residual]
-                residuals += [Energies.at(ref, phi).residual for phi in entry["phis"]]
+                residuals = [evaluate(ref, ZERO).residual]
+                residuals += [evaluate(ref, phi).residual for phi in entry["phis"]]
                 entry[f"residuals{size}"] = residuals
             entry["c_omega"] = entry["residuals2048"][0]
             entry["reports2048"] = [evaluate(entry["ref2048"], phi)
@@ -190,8 +189,8 @@ def test_criterion_05a_axioms_nu_e1():
             defects = cocycle_check(ref, p1, p2)
             for name in cocycle:
                 cocycle[name] = max(cocycle[name], defects[name])
-        energies = (j_energy, lambda r, p: Energies.at(r, p).nu,
-                    lambda r, p: Energies.at(r, p).e1)
+        energies = (j_energy, lambda r, p: evaluate(r, p).nu,
+                    lambda r, p: evaluate(r, p).e1)
         diag = max(abs(f(ref, ZERO)) for f in energies)
         bent_ref = make_reference(make_state(config, BENT))
         diag = max(diag, *(abs(f(bent_ref, ZERO)) for f in energies))
@@ -360,8 +359,8 @@ def test_criterion_10_mutation_sensitivity():
     corrupted = e1_coefficients(1)
     corrupted[1] += 0.1
 
-    residuals = [Energies.at(ref, ZERO, corrupted).residual]
-    residuals += [Energies.at(ref, phi, corrupted).residual for phi in phis]
+    residuals = [evaluate(ref, ZERO, corrupted).residual]
+    residuals += [evaluate(ref, phi, corrupted).residual for phi in phis]
     spread = max(residuals) - min(residuals)
     residual_detects = spread > (DEFAULT_TOLERANCES["residual_constancy_background"]
                                  * (1.0 + abs(residuals[0])))

@@ -29,6 +29,16 @@ def test_build_grid_nodes():
     assert g.x[1024] == pytest.approx(0.5, abs=1e-15)
 
 
+def test_build_grid_shares_one_read_only_grid_per_size():
+    # every caller of one size shares one grid, so its arrays are read-only,
+    # and the derivative bands are cached with it
+    g = build_grid(512)
+    assert build_grid(512) is g and build_grid(256) is not g
+    for arr in (g.x, g.xm, g.omx, g.quad_rows):
+        assert not arr.flags.writeable
+    assert derivative_bands(build_grid(512)) is derivative_bands(g)
+
+
 @pytest.mark.parametrize("bad", [15, 14, 8, 17, 0, -4])
 def test_build_grid_rejects_bad_sizes(bad):
     with pytest.raises(ConfigError):

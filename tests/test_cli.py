@@ -14,8 +14,12 @@ from krflow.cli import (
     load_config,
     main,
 )
+from krflow import functionals
+from krflow.calculus import build_grid
+from krflow.errors import DivergentIntegrand
 from krflow.flow import TRACE_COLUMNS, FlowConfig, FlowRecord, FlowTrace
-from krflow.geometry import RadialPotential
+from krflow.functionals import evaluate, futaki_of_state, make_reference
+from krflow.geometry import ManifoldConfig, RadialPotential, state_from_total
 from krflow.verification import DEFAULT_TOLERANCES, SuiteConfig
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -316,6 +320,38 @@ record_every = 100
     assert main(["flow", "--config", config, "--out", str(out_path)]) == 0
 
 
+RANDOM_POTENTIAL = """
+[run]
+n = 1
+grid_size = 128
+
+[potential]
+coeffs = 0.0, 0.2
+random = {value}
+seed = 4
+rho = 0.2
+"""
+
+
+def test_potential_random_reads_booleans(tmp_path):
+    # [potential] random takes configparser's booleans: on and true sample
+    # the same potential, off keeps the coeffs
+    potentials = {}
+    for value in ("on", "true", "off"):
+        parser = load_config(_write(tmp_path, "flow.ini", RANDOM_POTENTIAL.format(value=value)))
+        potentials[value] = _potential(parser, _manifold(parser)).coeffs
+    assert potentials["on"] == potentials["true"] != (0.0, 0.2)
+    assert potentials["off"] == (0.0, 0.2)
+
+
+def test_potential_random_typo_is_a_configuration_error(tmp_path, capsys):
+    config = _write(tmp_path, "flow.ini",
+                    RANDOM_POTENTIAL.format(value="ture") + "\n[flow]\nt_max = 0.1\n")
+    out_path = tmp_path / "trace.csv"
+    assert main(["flow", "--config", config, "--out", str(out_path)]) == 2
+    assert "configuration error" in capsys.readouterr().err and not out_path.exists()
+
+
 def test_eval_zero_potential(tmp_path, capsys):
     config = _write(tmp_path, "eval.ini", "[run]\nn = 1\ngrid_size = 128\n")
     assert main(["eval", "--config", config, "--phi", "0"]) == 0
@@ -341,6 +377,34 @@ def test_eval_reports_a_divergent_reference_as_an_error(tmp_path, capsys):
     assert main(["eval", "--config", config, "--phi", "0"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "normalizing integral" in err
+
+
+def test_eval_prints_the_energies_and_the_reference_constants(tmp_path, capsys):
+    # in process, eval prints each energy of evaluate's Energies, the
+    # reference state's Futaki invariant and its c0 and c1, in full
+    config = _write(tmp_path, "eval.ini",
+                    "[run]\nn = 2\ngrid_size = 256\n\n[reference]\ncoeffs = 0.0, 0.2, 0.1\n")
+    assert main(["eval", "--config", config, "--phi", "0,0.2,0.05"]) == 0
+    manifold = ManifoldConfig(n=2, grid=build_grid(256))
+    ref = make_reference(state_from_total(manifold, RadialPotential((0.0, 0.2, 0.1))))
+    energies = evaluate(ref, RadialPotential((0.0, 0.2, 0.05)))
+    rows = [(name, getattr(energies, name))
+            for name in ("j", "j_mixed", "nu", "e1", "dirichlet", "residual")]
+    rows += [("futaki", futaki_of_state(ref.state)), ("c0", ref.c0), ("c1", ref.c1)]
+    assert capsys.readouterr().out == "".join(f"{name},{v:.17g}\n" for name, v in rows)
+
+
+def test_eval_error_while_reading_prints_no_partial_report(tmp_path, capsys, monkeypatch):
+    # the energies are computed when first read: an error at the Dirichlet
+    # term, read after J, nu and E1, is a typed error with nothing printed
+    def divergent(state, v):
+        raise DivergentIntegrand("doctored Dirichlet term")
+
+    monkeypatch.setattr(functionals, "dirichlet", divergent)
+    config = _write(tmp_path, "eval.ini", "[run]\nn = 1\ngrid_size = 128\n")
+    assert main(["eval", "--config", config, "--phi", "0,0.2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: doctored")
 
 
 def test_eval_residual_matches_constant(tmp_path, capsys):

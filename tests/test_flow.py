@@ -32,7 +32,7 @@ from krflow.flow import (
     step,
     step_matrix,
 )
-from krflow.functionals import Energies, fubini_study_reference
+from krflow.functionals import Energies, evaluate, fubini_study_reference
 from krflow.verification import _identity_rhs, tolerance
 from krflow.geometry import (
     ManifoldConfig,
@@ -116,7 +116,7 @@ def test_step_richardson_order(small_config):
     g = small_config.grid
     phi = TILT.values(g)
     start = state_from(ref.state, phi)
-    v = Energies.at(ref, TILT).velocity
+    v = evaluate(ref, TILT).velocity
     for at in (start, ref.state):
         gaps = []
         for dt in (1e-3, 5e-4):
@@ -718,7 +718,7 @@ def test_e1_rate_near_fubini_study(n, eps):
     # panels rho is within 0.156 eps |rho_inf| of it (measured). dE1/dt is
     # E1's first variation along the flow velocity
     ref = fubini_study_reference(ManifoldConfig(n=n, grid=build_grid(1024)))
-    energies = Energies.at(ref, RadialPotential((0.0, 0.0, eps)))
+    energies = evaluate(ref, RadialPotential((0.0, 0.0, eps)))
     rho = _identity_rhs(ref, energies.state, energies.velocity)[3] / (n * energies.dirichlet)
     rho_inf = -2.0 - 2.0 * (n + 3) / (n * (n + 1))
     assert abs(rho - rho_inf) <= eps * abs(rho_inf)

@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+import math
 from operator import attrgetter
 from pathlib import Path
 
@@ -138,7 +139,8 @@ def test_public_entry_points_at_the_cone_boundary():
                       lambda: (scalar_curvature(state),),
                       lambda: (futaki_of_state(state),),
                       lambda: attrgetter("h", "c0", "c1")(make_reference(state)),
-                      lambda: dataclasses.astuple(evaluate(make_reference(state), small))):
+                      lambda: attrgetter("j", "j_mixed", "nu", "e1", "dirichlet", "residual")(
+                          evaluate(make_reference(state), small))):
             _finite_or_typed(label, entry)
     assert admissible > 1000
 
@@ -175,7 +177,7 @@ def test_j_energy_mismatch_raises(rng):
     phi = sample_admissible(cfg, rng, 1)[0]
     report = evaluate(ref, phi)
     assert abs(report.j - report.j_mixed) > 1e-6 * (1.0 + abs(report.j))
-    energies = Energies.at(ref, phi)
+    energies = evaluate(ref, phi)
     assert (report.j, report.j_mixed) == (energies.j, energies.j_mixed)
     with pytest.raises(ExpressionMismatch):
         j_energy(ref, phi)
@@ -183,8 +185,8 @@ def test_j_energy_mismatch_raises(rng):
 
 def test_k_energy_zero_and_constant(fs_ref1, bent_ref1):
     for ref in (fs_ref1, bent_ref1):
-        assert Energies.at(ref, ZERO).nu == 0.0
-        assert abs(Energies.at(ref, RadialPotential((0.8,))).nu) <= 1e-8
+        assert evaluate(ref, ZERO).nu == 0.0
+        assert abs(evaluate(ref, RadialPotential((0.8,))).nu) <= 1e-8
 
 
 def test_k_energy_path_integral_oracle():
@@ -202,7 +204,7 @@ def test_k_energy_path_integral_oracle():
         return -0.5 * average(xi * (scalar_curvature(state) - 2.0 * n) * density, cfg)
 
     oracle = gauss_path_integral(derivative)
-    assert Energies.at(ref, phi).nu == pytest.approx(oracle, abs=1e-5)
+    assert evaluate(ref, phi).nu == pytest.approx(oracle, abs=1e-5)
 
 
 def test_k_energy_synthetic_matches_direct_display(fs_ref2, rng):
@@ -215,15 +217,15 @@ def test_k_energy_synthetic_matches_direct_display(fs_ref2, rng):
         density = wedge_density(state.form, n, state.form, n)
         log_rel = state.log_density - fs_ref2.state.log_density
         entropy = average((log_rel + values - fs_ref2.h) * density, cfg)
-        mixed = weighted_sum(np.ones(n + 1), Energies.at(fs_ref2, phi).uncentered)
+        mixed = weighted_sum(np.ones(n + 1), evaluate(fs_ref2, phi).uncentered)
         direct = entropy - mixed + fs_ref2.c0
-        assert Energies.at(fs_ref2, phi).nu == pytest.approx(direct, abs=1e-7)
+        assert evaluate(fs_ref2, phi).nu == pytest.approx(direct, abs=1e-7)
 
 
 def test_e1_energy_zero_and_constant(fs_ref2, bent_ref2):
     for ref in (fs_ref2, bent_ref2):
-        assert Energies.at(ref, ZERO).e1 == 0.0
-        assert abs(Energies.at(ref, RadialPotential((-0.4,))).e1) <= 1e-8
+        assert evaluate(ref, ZERO).e1 == 0.0
+        assert abs(evaluate(ref, RadialPotential((-0.4,))).e1) <= 1e-8
 
 
 def test_e1_energy_path_integral_oracle():
@@ -245,16 +247,16 @@ def test_e1_energy_path_integral_oracle():
         return value
 
     oracle = gauss_path_integral(derivative)
-    assert Energies.at(ref, phi).e1 == pytest.approx(oracle, abs=1e-5)
+    assert evaluate(ref, phi).e1 == pytest.approx(oracle, abs=1e-5)
 
 
 def test_flow_velocity_fixed_point(fs_ref1):
-    v = Energies.at(fs_ref1, ZERO).velocity
+    v = evaluate(fs_ref1, ZERO).velocity
     assert np.abs(v).max() == 0.0
 
 
 def test_flow_velocity_constant_shift(fs_ref1):
-    v = Energies.at(fs_ref1, RadialPotential((0.9,))).velocity
+    v = evaluate(fs_ref1, RadialPotential((0.9,))).velocity
     assert np.abs(v - 0.9).max() <= 1e-11
 
 
@@ -263,7 +265,7 @@ def test_flow_velocity_profile_identity(bent_ref2, rng):
     phi = sample_admissible(cfg, rng, 1, base=bent_ref2.state)[0]
     from krflow.geometry import state_from
     state = state_from(bent_ref2.state, phi)
-    v = Energies.at(bent_ref2, phi).velocity
+    v = evaluate(bent_ref2, phi).velocity
     defect = d_ds(v, cfg.grid) - (state.form.b - state.ricci.b)
     assert np.abs(defect).max() <= 1e-6
 
@@ -278,13 +280,13 @@ def test_dirichlet_values(fs_ref1):
 def test_dirichlet_nonnegative(fs_ref2, rng):
     for phi in sample_admissible(fs_ref2.config, rng, 5):
         state = make_state(fs_ref2.config, phi)
-        v = Energies.at(fs_ref2, phi).velocity
+        v = evaluate(fs_ref2, phi).velocity
         assert dirichlet(state, v) >= 0.0
 
 
 def test_identity_residual_at_zero(fs_ref1, bent_ref1):
-    assert Energies.at(fs_ref1, ZERO).residual == 0.0
-    res = Energies.at(bent_ref1, ZERO).residual
+    assert evaluate(fs_ref1, ZERO).residual == 0.0
+    res = evaluate(bent_ref1, ZERO).residual
     expected = -dirichlet(bent_ref1.state, -bent_ref1.h)
     assert res == pytest.approx(expected, abs=1e-15)
     assert res <= 0.0
@@ -292,8 +294,8 @@ def test_identity_residual_at_zero(fs_ref1, bent_ref1):
 
 def test_identity_residual_constancy(fs_ref1, rng):
     cfg = fs_ref1.config
-    residuals = [Energies.at(fs_ref1, ZERO).residual]
-    residuals += [Energies.at(fs_ref1, phi).residual
+    residuals = [evaluate(fs_ref1, ZERO).residual]
+    residuals += [evaluate(fs_ref1, phi).residual
                   for phi in sample_admissible(cfg, rng, 6)]
     assert max(residuals) - min(residuals) <= 1e-5
 
@@ -354,8 +356,8 @@ def test_re_reference_identity(fs_ref1, rng):
     same = re_reference(fs_ref1, ZERO)
     phi = sample_admissible(fs_ref1.config, rng, 1)[0]
     assert j_energy(same, phi) == pytest.approx(j_energy(fs_ref1, phi), abs=1e-14)
-    assert Energies.at(same, phi).nu == pytest.approx(Energies.at(fs_ref1, phi).nu, abs=1e-14)
-    assert Energies.at(same, phi).e1 == pytest.approx(Energies.at(fs_ref1, phi).e1, abs=1e-14)
+    assert evaluate(same, phi).nu == pytest.approx(evaluate(fs_ref1, phi).nu, abs=1e-14)
+    assert evaluate(same, phi).e1 == pytest.approx(evaluate(fs_ref1, phi).e1, abs=1e-14)
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -366,8 +368,8 @@ def test_cocycle_nu_e1(n, rng):
     p1, p2 = sample_admissible(cfg, rng, 2, coeff_bound=0.2)
     ref1 = re_reference(ref, p1)
     for name in ("nu", "e1"):
-        total = getattr(Energies.at(ref, p2), name)
-        split = getattr(Energies.at(ref, p1), name) + getattr(Energies.at(ref1, p2 - p1), name)
+        total = getattr(evaluate(ref, p2), name)
+        split = getattr(evaluate(ref, p1), name) + getattr(evaluate(ref1, p2 - p1), name)
         scale = max(abs(total), abs(split))
         assert abs(total - split) <= 1e-6 * (1.0 + scale)
 
@@ -375,7 +377,7 @@ def test_cocycle_nu_e1(n, rng):
 def test_mixed_sum_constant_telescoping(fs_ref2):
     const = RadialPotential((0.6,))
     n = fs_ref2.config.n
-    uncentered = Energies.at(fs_ref2, const).uncentered
+    uncentered = evaluate(fs_ref2, const).uncentered
     assert abs(weighted_sum(k_energy_coefficients(n), uncentered)) <= 1e-8
     assert abs(weighted_sum(e1_coefficients(n), uncentered)) <= 1e-8
 
@@ -389,7 +391,7 @@ def test_mixed_sum_all_ones_derivative(fs_ref2, rng):
     xi = RadialPotential(rng.uniform(-0.2, 0.2, 9))
     dt = 1e-4
     ones = np.ones(n + 1)
-    plus, minus = (weighted_sum(ones, Energies.at(fs_ref2, phi + xi.scaled(s)).uncentered)
+    plus, minus = (weighted_sum(ones, evaluate(fs_ref2, phi + xi.scaled(s)).uncentered)
                    for s in (dt, -dt))
     lhs = (plus - minus) / (2.0 * dt)
     state = make_state(cfg, phi)
@@ -401,10 +403,10 @@ def test_shift_invariance(fs_ref2, rng):
     phi = sample_admissible(fs_ref2.config, rng, 1)[0]
     shifted = phi + RadialPotential((5.0,))
     assert abs(j_energy(fs_ref2, shifted) - j_energy(fs_ref2, phi)) <= 1e-8
-    assert abs(Energies.at(fs_ref2, shifted).nu - Energies.at(fs_ref2, phi).nu) <= 1e-8
-    assert abs(Energies.at(fs_ref2, shifted).e1 - Energies.at(fs_ref2, phi).e1) <= 1e-8
-    assert abs(Energies.at(fs_ref2, shifted).residual
-               - Energies.at(fs_ref2, phi).residual) <= 1e-8
+    assert abs(evaluate(fs_ref2, shifted).nu - evaluate(fs_ref2, phi).nu) <= 1e-8
+    assert abs(evaluate(fs_ref2, shifted).e1 - evaluate(fs_ref2, phi).e1) <= 1e-8
+    assert abs(evaluate(fs_ref2, shifted).residual
+               - evaluate(fs_ref2, phi).residual) <= 1e-8
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -424,10 +426,15 @@ def test_own_state_mixed_averages_vanish(n):
 
 
 def test_evaluate_report(rng, monkeypatch):
-    # at n = 1, 2, 3 and both references, evaluate shares one state build
-    # and one set of mixed averages among J, nu, E1 and the residual, and
-    # gives each the same bits as a fresh state's ``Energies``
+    # at n = 1, 2, 3 and both references, evaluate's Energies share one
+    # state build and one set of mixed averages among J, nu, E1 and the
+    # residual, and give each the same bits as a fresh evaluate. Its energies
+    # are computed when first read, so the tally reads all six
     calls, quadratures = [], []
+
+    def read(energies):
+        attrgetter("j", "j_mixed", "nu", "e1", "dirichlet", "residual")(energies)
+        return energies
 
     def counted(*args):
         calls.append(args)
@@ -452,7 +459,7 @@ def test_evaluate_report(rng, monkeypatch):
                 for module in (geometry, functionals):
                     patch.setattr(module, "wedge_density", counted)
                     patch.setattr(module, "integrate_ds", integrated)
-                report, wedges, averages = tally(lambda: evaluate(ref, phi))
+                report, wedges, averages = tally(lambda: read(evaluate(ref, phi)))
                 at_ref = tally(lambda: c_omega_estimate(ref))[1:]
                 at_record = tally(lambda: flow._record(ref, state, 0.0))[1:]
             # each quantity is taken once. Wedges: the state's volume density,
@@ -468,15 +475,15 @@ def test_evaluate_report(rng, monkeypatch):
             assert (wedges, averages) == (n + 1, 2 * n + 4), n
             assert at_ref == (0, 1) and at_record == (n + 1, n + 5), n
             assert report.j == j_energy(ref, phi)
-            assert report.nu == Energies.at(ref, phi).nu
-            assert report.e1 == Energies.at(ref, phi).e1
-            assert report.residual == Energies.at(ref, phi).residual
-            assert report.dirichlet == dirichlet(state, Energies.at(ref, phi).velocity)
+            assert report.nu == evaluate(ref, phi).nu
+            assert report.e1 == evaluate(ref, phi).e1
+            assert report.residual == evaluate(ref, phi).residual
+            assert report.dirichlet == dirichlet(state, evaluate(ref, phi).velocity)
             assert report.j >= 0.0
             assert report.dirichlet >= 0.0
             assert report.residual == pytest.approx(
                 report.e1 - 2.0 * report.nu - report.dirichlet, abs=1e-15)
-            assert report.c0 == ref.c0 and report.c1 == ref.c1
+            assert report.ref is ref
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -501,6 +508,59 @@ def test_fubini_study_orbit_oracle(n):
         fine = abs(getattr(reports[1024, 10.0], name))
         assert fine <= 2e-7 and abs(getattr(reports[512, 10.0], name)) >= 6.0 * fine, name
     assert reports[1024, 10.0].j > reports[1024, 2.0].j > 0.0
+
+
+# per n, bounds at N = 1024 on the largest |change| of nu, E1 and the
+# Dirichlet term under the automorphisms below; the defects measured at seed
+# 19 are (2.8e-10, 2.1e-8, 5.6e-9), (6.8e-10, 1.4e-8, 3.2e-9) and
+# (5.0e-9, 2.3e-7, 1.3e-7)
+ORBIT_BOUNDS = {1: (1e-9, 6e-8, 2e-8), 2: (2e-9, 5e-8, 1e-8), 3: (2e-8, 7e-7, 4e-7)}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_automorphism_orbit_oracle_on_the_cone(n):
+    # z -> mu z (lam = |mu|^2) moves x to lam x / (1 + (lam - 1) x) and pulls
+    # the metric of phi back to the metric of
+    #     sigma*phi = (n+1) log(1 + (lam - 1) x) + phi(lam x / (1 + (lam - 1) x)),
+    # exact nodal values that share no code with the stencils. The Futaki
+    # invariant vanishes, so nu, E1 and Dirichlet(velocity) are invariant
+    # along the orbit, while J is not. The defects fall with the grid
+    rng = np.random.default_rng(19)
+    samples = sample_admissible(ManifoldConfig(n=n, grid=build_grid(512)), rng, 3)
+    names = ("nu", "e1", "dirichlet")
+    worst, j_move = {}, math.inf
+    for size in (512, 1024):
+        ref = fubini_study_reference(ManifoldConfig(n=n, grid=build_grid(size)))
+        x = ref.grid.x
+        worst[size] = [0.0] * len(names)
+        for phi in samples:
+            energies = evaluate(ref, phi)
+            for lam in (0.5, 2.0, 4.0):
+                moved = lam * x / (1.0 + (lam - 1.0) * x)
+                pulled = evaluate(ref, (n + 1) * np.log1p((lam - 1.0) * x)
+                                  + np.polynomial.polynomial.polyval(moved, phi.coeffs))
+                worst[size] = [max(w, abs(getattr(pulled, name) - getattr(energies, name)))
+                               for w, name in zip(worst[size], names)]
+                j_move = min(j_move, abs(pulled.j - energies.j))
+    for name, fine, coarse, bound in zip(names, worst[1024], worst[512], ORBIT_BOUNDS[n]):
+        assert fine <= bound and coarse >= 6.0 * fine, (name, fine, coarse)
+    assert j_move >= 0.01
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_evaluate_returns_the_energies_of_its_state(n, rng):
+    # evaluate is the one way from a potential to its energies: it returns
+    # the Energies of the state_from state, whose six values are those of a
+    # directly built Energies, bit for bit
+    cfg = ManifoldConfig(n=n, grid=build_grid(256))
+    ref = make_reference(make_state(cfg, RadialPotential((0.0, 0.2, 0.1))))
+    phi = sample_admissible(cfg, rng, 1, base=ref.state)[0]
+    energies = evaluate(ref, phi)
+    assert isinstance(energies, Energies) and energies.ref is ref
+    values = phi.values(cfg.grid)
+    direct = Energies(ref, state_from(ref.state, values), values)
+    for name in ("j", "j_mixed", "nu", "e1", "dirichlet", "residual"):
+        assert getattr(energies, name).hex() == getattr(direct, name).hex(), name
 
 
 def test_energy_weighting_stays_in_functionals():
@@ -535,7 +595,6 @@ def nodal_entry_points():
         "make_state": lambda v: make_state(config, v),
         "state_from": lambda v: state_from(state, v),
         "evaluate": lambda v: evaluate(ref, v),
-        "Energies.at": lambda v: Energies.at(ref, v),
         "j_energy": lambda v: j_energy(ref, v),
         "run": lambda v: flow.run(flow.FlowConfig(manifold=config, initial=v, t_max=0.01)),
     }
@@ -559,10 +618,9 @@ def nodal_entry_points():
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("name", ["make_state", "state_from", "evaluate", "Energies.at",
-                                  "j_energy", "run", "Energies", "wedge_density", "d_dx", "d_ds",
-                                  "integrate_ds", "average", "cumulative_dx", "laplacian",
-                                  "dirichlet"])
+@pytest.mark.parametrize("name", ["make_state", "state_from", "evaluate", "j_energy", "run",
+                                  "Energies", "wedge_density", "d_dx", "d_ds", "integrate_ds",
+                                  "average", "cumulative_dx", "laplacian", "dirichlet"])
 def test_malformed_nodal_input_raises_typed_errors(nodal_entry_points, name):
     # a nodal array of the wrong length is a ConfigError (a ValueError too);
     # a non-finite node is an error of the array's role, never a NaN result

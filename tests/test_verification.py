@@ -6,8 +6,8 @@ from krflow.calculus import build_grid
 from krflow.errors import ConfigError
 from krflow.flow import FlowRecord, FlowTrace
 from krflow.functionals import (
-    Energies,
     e1_coefficients,
+    evaluate,
     fubini_study_reference,
     j_energy,
     make_reference,
@@ -91,10 +91,10 @@ def test_variational_check_bits_match_each_functional(n, rng):
     dt = 1e-4
     functionals_ = {
         "DER_JFUNC": lambda p: weighted_sum(np.full(n + 1, float(n + 1)),
-                                            Energies.at(ref, p).uncentered),
-        "DER_KENERG": lambda p: Energies.at(ref, p).nu,
-        "DER_J1FUN": lambda p: weighted_sum(e1_coefficients(n), Energies.at(ref, p).uncentered),
-        "DER_E1": lambda p: Energies.at(ref, p, e1_coeffs).e1,
+                                            evaluate(ref, p).uncentered),
+        "DER_KENERG": lambda p: evaluate(ref, p).nu,
+        "DER_J1FUN": lambda p: weighted_sum(e1_coefficients(n), evaluate(ref, p).uncentered),
+        "DER_E1": lambda p: evaluate(ref, p, e1_coeffs).e1,
     }
     checks = variational_check(ref, base, direction, dt=dt, e1_coeffs=e1_coeffs)
     assert tuple(checks) == IDENTITIES
@@ -114,10 +114,10 @@ def test_cocycle_check_bits_match_each_functional(n, rng):
     cfg = ManifoldConfig(n=n, grid=build_grid(256))
     bent = make_reference(make_state(cfg, RadialPotential((0.0, 0.2, 0.1))))
     functionals_ = {
-        "nu": lambda ref, p: Energies.at(ref, p).nu,
-        "e1": lambda ref, p: Energies.at(ref, p).e1,
+        "nu": lambda ref, p: evaluate(ref, p).nu,
+        "e1": lambda ref, p: evaluate(ref, p).e1,
         "mixed_energy": lambda ref, p: weighted_sum(np.ones(n + 1),
-                                                    Energies.at(ref, p).uncentered),
+                                                    evaluate(ref, p).uncentered),
     }
     for ref in (fubini_study_reference(cfg), bent):
         p1, p2 = sample_admissible(cfg, rng, 2, coeff_bound=0.2, base=ref.state)
@@ -269,14 +269,15 @@ def test_suite_h_mutation_detected():
 
 def test_suite_state_builds(monkeypatch):
     # outside the sampler and the short flow, a suite with S samples and P
-    # finite-difference pairs builds 21 + 2 S + 3 P states: the two
-    # references (2), the S reports (S), the shifted copies (3), 3 per pair
-    # for all four identities (3 P), 3 per cocycle pair for all three
-    # functionals (9), the Futaki pool (2), the curvature averages (5) and
-    # the perturbed residuals (S). The background residuals read the
-    # reports, and the zero-potential residuals and the diagonal read one
-    # Energies at each reference's own state. It makes 6 references: the
-    # background, the bent one, one per cocycle pair and the flow's
+    # finite-difference pairs builds 16 + 2 S + 3 P states: the two
+    # references (2), one per sampled potential (S), the shifted copies (3),
+    # 3 per pair for all four identities (3 P), 3 per cocycle pair for all
+    # three functionals (9), the Futaki pool (2) and the perturbed residuals
+    # (S). The background residuals and the curvature averages read the
+    # sampled potentials' states while their energies are read, and the
+    # zero-potential residuals and the diagonal read one Energies at each
+    # reference's own state. It makes 6 references: the background, the bent
+    # one, one per cocycle pair and the flow's
     counts = {"suite": 0, "sampler": 0, "flow": 0}
     references = []
     real_reference = functionals.make_reference
@@ -309,7 +310,7 @@ def test_suite_state_builds(monkeypatch):
     monkeypatch.setattr(verification, "run", within("flow", verification.run))
     run_suite(SuiteConfig(n=2, grid_size=128, samples=6, fd_pairs=1, flow_grid=64,
                           flow_t_max=0.05))
-    assert counts["suite"] == 21 + 2 * 6 + 3 * 1
+    assert counts["suite"] == 16 + 2 * 6 + 3 * 1
     assert len(references) == 6
     assert counts["sampler"] >= 6 + 2 + 1 + 6 and counts["flow"] >= 2
 
