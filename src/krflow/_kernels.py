@@ -2,13 +2,13 @@
 velocity.
 
 ``d_dx`` is the one derivative of the package (``calculus.d_dx`` is the same
-function). ``profiles`` is the one derivation of the metric profiles from a
-total potential and the one positivity test; the state build and the flow
-velocity call it (a ``MetricState`` derives its density and Ricci profile
-when first read). Every kernel takes the ``calculus.Grid`` it works on and
-reads its spacing and node profiles from it; values are float64 arrays over
-the full node set (N+1 values including both endpoints), and ``nodal`` is
-the one check of that shape.
+function). ``profiles`` is the one derivation of the metric profiles and
+their cone minima from a total potential, and the one positivity test; the
+state build and the flow velocity call it (a ``MetricState`` derives its
+density and Ricci profile when first read). Every kernel takes the
+``calculus.Grid`` it works on and reads its spacing and node profiles from
+it; values are float64 arrays over the full node set (N+1 values including
+both endpoints), and ``nodal`` is the one check of that shape.
 """
 
 from typing import NamedTuple
@@ -67,13 +67,13 @@ def d_dx(values, grid):
 
 
 class Profiles(NamedTuple):
-    """Metric profiles of one positive total potential (see ``geometry``)."""
+    """Metric profiles and cone minima of one positive total potential (see ``geometry``)."""
 
     b: np.ndarray  # B = (n+1) x + x(1-x) phi'(x)
     r: np.ndarray  # dB/dx
     q: np.ndarray  # (n+1) + (1-x) phi'(x)
-    ahat: np.ndarray  # r / (n+1)
-    bhat: np.ndarray  # q / (n+1)
+    min_ahat: float  # min of Ahat = r / (n+1)
+    min_bhat: float  # min of Bhat = q / (n+1)
     log_density: np.ndarray  # log volume ratio against the background
 
 
@@ -100,7 +100,7 @@ def profiles(total, grid, n):
     log_density = np.log(ahat)
     if n > 1:
         log_density += (n - 1) * np.log(bhat)
-    return Profiles(b, r, q, ahat, bhat, log_density)
+    return Profiles(b, r, q, min_a, min_b, log_density)
 
 
 def velocity(phi, shift, grid, n):

@@ -9,6 +9,7 @@ error. Outputs are byte-identical for identical configs and seeds.
 import argparse
 import configparser
 import dataclasses
+import os
 import sys
 from importlib import resources
 
@@ -118,21 +119,33 @@ def _flow_config(parser, manifold):
     )
 
 
+def _check_output(path):
+    """Raise ConfigError unless ``path`` can be written as a file: its
+    directory exists and is writable, and ``path`` is not a directory."""
+    folder = os.path.dirname(os.path.abspath(path))
+    if os.path.isdir(path) or not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
+        raise ConfigError(f"cannot write output file {path}")
+
+
 def default_config_path():
     """Path of the bundled verification config."""
     return resources.files("krflow") / "configs" / "verify_default.ini"
 
 
 def cmd_verify(config_path):
-    """Run the verification suite; exit 0 iff every check passes."""
+    """Run the verification suite; exit 0 iff every check passes. An
+    unwritable ``[output] report`` path is a ConfigError before any work."""
     parser = load_config(config_path)
+    report_path = parser["output"].get("report")
+    if report_path:
+        _check_output(report_path)
     manifold = _manifold(parser)
     suite_config = _suite_config(parser, manifold)
     report = run_suite(suite_config)
     text = report.to_text()
     sys.stdout.write(text)
-    if parser["output"].get("report"):
-        with open(parser["output"]["report"], "w") as fh:
+    if report_path:
+        with open(report_path, "w") as fh:
             fh.write(text)
     return 0 if report.passed else 1
 
@@ -158,8 +171,10 @@ def _summary_lines(trace, checks=None):
 
 def cmd_flow(config_path, out_path):
     """Run the flow, write the trace plus its ``flow_checks`` at the config's
-    ``[tolerances]``; exit 1 when the flow aborts or the inequality gate fails."""
+    ``[tolerances]``; exit 1 when the flow aborts or the inequality gate fails.
+    An unwritable ``out_path`` is a ConfigError before any work."""
     parser = load_config(config_path)
+    _check_output(out_path)
     overrides = _tolerances(parser)
     try:
         trace = run(_flow_config(parser, _manifold(parser)))

@@ -260,10 +260,6 @@ def _ros2(f, solve, y0, f0, dt):
     return y0 + dt * (1.5 * k1 + 0.5 * k2)
 
 
-def _shift_profile(ref):
-    return ref.state.log_density + ref.state.phi_total + ref.h
-
-
 def step(ref, state, dt, matrix, trace=None):
     """One ROS2 step of the flow relative to ``ref`` from the ``MetricState``
     ``state``: the run's initial state or the one a previous step returned.
@@ -279,7 +275,7 @@ def step(ref, state, dt, matrix, trace=None):
     g = ref.grid
     config = ref.config
     base = ref.state.phi_total
-    shift = _shift_profile(ref)
+    shift = ref.shift
 
     def velocity(values):
         if trace is not None:
@@ -316,8 +312,8 @@ def _record(ref, state, t):
         scal_min=float(scal.min()),
         scal_max=float(scal.max()),
         futaki=futaki_of_state(state),
-        min_ahat=float(state.ahat.min()),
-        min_bhat=float(state.bhat.min()),
+        min_ahat=state.min_ahat,
+        min_bhat=state.min_bhat,
     )
 
 
@@ -352,6 +348,7 @@ def run(config):
                 dt = remaining
             try:
                 if matrix is None or not matrix.fits(state, dt):
+                    matrix = None  # drop the old LU first: one alive during a refresh
                     matrix = step_matrix(state, dt)
                     trace.factorizations += 1
                 state = step(ref, state, dt, matrix, trace=trace)

@@ -81,6 +81,11 @@ class Reference:
     def form(self):
         return self.state.form
 
+    @cached_property
+    def shift(self):
+        """log density + potential + h: the flow velocity's reference term."""
+        return self.state.log_density + self.state.phi_total + self.h
+
 
 def ricci_potential(state, normalization_offset=0.0):
     """Ricci potential h of ``state``'s metric, with e^h - 1 averaging to 0.

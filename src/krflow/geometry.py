@@ -29,10 +29,10 @@ from the factored formula
     B_ric = n - (n-1) [(1-x) + x(1-x) q'/q] - [(1-2x) + x(1-x) r'/r],
 
 which is endpoint-regular. ``_kernels.profiles`` is the one derivation of
-B, r, q, Ahat, Bhat and the log volume ratio, and the one positivity test;
-the state build and the flow velocity call it. A ``MetricState`` derives the
-volume density n A B^(n-1) and the Ricci profile when first read, so a
-positivity test costs the profiles alone.
+B, r, q and the log volume ratio, and the one positivity test, whose minima
+of Ahat and Bhat a ``MetricState`` keeps; the state build and the flow
+velocity call it. A state derives the volume density n A B^(n-1) and the
+Ricci profile when first read, so a positivity test costs the profiles alone.
 """
 
 from dataclasses import dataclass
@@ -135,24 +135,25 @@ class RadialPotential:
 class MetricState:
     """A validated positive metric with its profiles.
 
-    ``phi_total`` is the nodal potential relative to the background, a
-    read-only copy of the values the state was built from, ``form``
-    the metric profile pair. ``q`` and ``r`` are the endpoint-regular factors
-    described in the module docstring; ``log_density`` is log of the volume
-    ratio against the background. Derived when first read: ``density``, the
-    reduced volume density ``wedge_density(form, n, form, n)``, and together
-    ``ricci``, the Ricci profile pair, and ``ricci_db``, its x-derivative (for
-    endpoint-regular curvature ratios). Immutable and safe to share across
-    threads: a derived value is cached, never changed.
+    ``phi_total`` is the nodal potential relative to the background, a read-only
+    copy of the values the state was built from, ``form`` the metric profile
+    pair. ``r`` and ``q`` are the endpoint-regular factors of the module
+    docstring, ``min_ahat`` and ``min_bhat`` the cone minima of its positivity
+    test; ``log_density`` is log of the volume ratio against the background.
+    Derived when first read: ``density``, the reduced volume density
+    ``wedge_density(form, n, form, n)``, and together ``ricci``, the Ricci
+    profile pair, and ``ricci_db``, its x-derivative (for endpoint-regular
+    curvature ratios). Immutable and safe to share across threads: a derived
+    value is cached, never changed.
     """
 
     config: ManifoldConfig
     phi_total: np.ndarray
     form: RadialForm
-    ahat: np.ndarray
-    bhat: np.ndarray
-    q: np.ndarray
     r: np.ndarray
+    q: np.ndarray
+    min_ahat: float
+    min_bhat: float
     log_density: np.ndarray
 
     @property
@@ -202,8 +203,7 @@ def state_from_total(config, phi_total):
     phi_total = _potential_values(phi_total, g).copy()  # out of reach of the caller's writes
     phi_total.setflags(write=False)
     p = _kernels.profiles(phi_total, g, config.n)
-    return MetricState(config=config, phi_total=phi_total, form=RadialForm(a=g.xm * p.r, b=p.b),
-                       ahat=p.ahat, bhat=p.bhat, q=p.q, r=p.r, log_density=p.log_density)
+    return MetricState(config, phi_total, RadialForm(a=g.xm * p.r, b=p.b), *p[1:])
 
 
 def background(config):
@@ -315,7 +315,7 @@ def sample_admissible(config, rng, count, coeff_bound=DEFAULT_COEFF_BOUND,
                 state = state_from(base, candidate)
         except NotInPotentialSpace:
             continue
-        if min(state.ahat.min(), state.bhat.min()) < SAMPLE_MARGIN:
+        if min(state.min_ahat, state.min_bhat) < SAMPLE_MARGIN:
             continue
         out.append(candidate)
     return out

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +17,7 @@ from krflow.cli import (
     load_config,
     main,
 )
-from krflow import functionals
+from krflow import cli, functionals
 from krflow.calculus import build_grid
 from krflow.errors import DivergentIntegrand
 from krflow.flow import TRACE_COLUMNS, FlowConfig, FlowRecord, FlowTrace
@@ -64,6 +67,44 @@ def test_verify_writes_report_file(tmp_path, capsys):
     assert main(["verify", "--config", config]) == 0
     captured = capsys.readouterr().out
     assert report_path.read_text() == captured
+
+
+@pytest.mark.parametrize("target", ("missing_dir/out.txt", "."))
+def test_unwritable_output_fails_before_any_work(tmp_path, capsys, monkeypatch, target):
+    # a report or trace path that cannot be written (its directory is
+    # missing, or it is a directory) is a configuration error found before
+    # the suite or the flow runs, with nothing printed
+    def fail(*args, **kwargs):
+        raise AssertionError("ran before the output path was checked")
+
+    monkeypatch.setattr(cli, "run_suite", fail)
+    monkeypatch.setattr(cli, "run", fail)
+    out = str(tmp_path / target)
+    verify = _write(tmp_path, "verify.ini", VERIFY_FAST + f"\n[output]\nreport = {out}\n")
+    assert main(["verify", "--config", verify]) == 2
+    assert main(["flow", "--config", _write(tmp_path, "flow.ini", FLOW_SMALL), "--out", out]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("configuration error: cannot write output file") == 2
+
+
+def test_imports_add_only_the_pinned_modules():
+    # import time is the benchmark's setup_s and each module adds to peak
+    # memory: after numpy, importing krflow adds exactly these top-level
+    # modules, and importing krflow.cli then adds exactly these
+    code = ("import sys, numpy\n"
+            "def top():\n"
+            "    return {name.split('.')[0] for name in sys.modules}\n"
+            "before = top()\n"
+            "import krflow\n"
+            "package = top()\n"
+            "import krflow.cli\n"
+            "print(sorted(package - before), sorted(top() - package))\n")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True).stdout
+    assert out.strip() == ("['copy', 'dataclasses', 'krflow'] "
+                           "['argparse', 'configparser', 'gettext']")
 
 
 def test_verify_unsupported_dimension(tmp_path):

@@ -25,7 +25,6 @@ from krflow.flow import (
     _jacobian_band,
     _record,
     _ros2,
-    _shift_profile,
     _stable_dt,
     c_omega_estimate,
     run,
@@ -180,12 +179,12 @@ def test_step_rejects_large_dt(small_config, monkeypatch):
     ref = fubini_study_reference(small_config)
     start = make_state(small_config, TILT)
     matrix = step_matrix(start, 100.0)
-    assert step(ref, start, 100.0, matrix).ahat.min() > 0.0
+    assert step(ref, start, 100.0, matrix).min_ahat > 0.0
     # the explicit RK4 reference integrator leaves the cone at dt = 1e3
     g = small_config.grid
     total = ref.state.phi_total + TILT.values(g)
     with pytest.raises(NotInPotentialSpace):
-        _kernels.rk4_step(total, 1e3, _shift_profile(ref), g, 1)
+        _kernels.rk4_step(total, 1e3, ref.shift, g, 1)
     _cone_exit(monkeypatch, 0.0, 1.0)
     with pytest.raises(StepRejected) as info:
         flow.step(ref, start, 100.0, matrix)
@@ -199,9 +198,10 @@ def test_step_hands_off_its_profiles(n, monkeypatch):
     # the run continues from, bitwise that of a fresh build, and the run
     # hands it to the next step and to the record. The first step starts
     # from the initial state; the second is rejected once at its stage, and
-    # its retry starts from the same state
+    # its retry starts from the same state. Every stage reads the one shift
+    # profile of the run's reference
     config = ManifoldConfig(n=n, grid=build_grid(128))
-    calls, recorded = [], []
+    calls, recorded, shifts = [], [], []
     real_step, real_velocity, real_record = flow.step, _kernels.velocity, flow._record
 
     def spy(ref, state, dt, *args, **kwargs):
@@ -210,6 +210,7 @@ def test_step_hands_off_its_profiles(n, monkeypatch):
         return calls[-1]["out"]
 
     def velocity(*args):
+        shifts.append(args[1])
         if len(calls) == 2 and calls[-1]["out"] is None:
             raise NotInPotentialSpace("patched cone exit", *FAILED_MINS)
         return real_velocity(*args)
@@ -225,6 +226,7 @@ def test_step_hands_off_its_profiles(n, monkeypatch):
                            dt_init=1e-4, reference=RadialPotential((0.0, 0.2, 0.1))))
     assert trace.rejected == 1 and calls[1]["out"] is None
     assert trace.accepted == len(calls) - 1 > 3
+    assert all(shift is shifts[0] for shift in shifts[1:])
     assert isinstance(calls[0]["start"], MetricState) and calls[0]["start"] is recorded[0]
     assert calls[2]["start"] is calls[1]["start"] is calls[0]["out"]
     accepted = [c for c in calls if c["out"] is not None]
@@ -237,7 +239,7 @@ def test_step_hands_off_its_profiles(n, monkeypatch):
     for call in accepted:
         returned = call["out"]
         fresh = state_from_total(config, returned.phi_total)
-        for name in ("phi_total", "ahat", "bhat", "q", "r", "log_density", "density",
+        for name in ("phi_total", "min_ahat", "min_bhat", "q", "r", "log_density", "density",
                      "ricci_db"):
             assert np.array_equal(getattr(returned, name), getattr(fresh, name)), name
         for form in ("form", "ricci"):
@@ -557,7 +559,7 @@ def test_one_step_matrix_per_step_size(n, size, initial, t_max, record_every, st
 def _fd_jacobian(ref, phi, h=1e-6):
     g = ref.grid
     total = ref.state.phi_total + phi.values(g)
-    shift = _shift_profile(ref)
+    shift = ref.shift
     jac = np.empty((g.size + 1, g.size + 1))
     for i in range(g.size + 1):
         cols = []
@@ -908,7 +910,7 @@ def test_ros2_matches_rk4(n):
     g = config.grid
     trace = run(FlowConfig(manifold=config, initial=TILT, t_max=0.5, record_every=100))
     ref = fubini_study_reference(config)
-    shift = _shift_profile(ref)
+    shift = ref.shift
     times = [rec.t for rec in trace.records]
     band = diags([np.ones(g.size + 1)] * (2 * HALF_BAND + 1), range(-HALF_BAND, HALF_BAND + 1),
                  shape=(g.size + 1, g.size + 1))

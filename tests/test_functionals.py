@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import COARSE_NEGATIVE_NORM
+from conftest import BENT_COEFFS, COARSE_NEGATIVE_NORM
 from krflow import flow, functionals, geometry
 from krflow.calculus import build_grid, cumulative_dx, d_ds, d_dx, integrate_ds
 from krflow.errors import (
@@ -47,6 +47,9 @@ from krflow.geometry import (
 )
 
 ZERO = RadialPotential((0.0,))
+# |path integral - closed form| for Chen and Tian's E_0 = nu and E_1 at
+# N = 1024: measured at most 1.5e-13 (k = 0) and 5.2e-13 (k = 1)
+CHEN_TIAN_TOL = 2e-12
 
 
 def gauss_path_integral(func, nodes=32):
@@ -135,7 +138,7 @@ def test_public_entry_points_at_the_cone_boundary():
             continue
         admissible += 1
         label = (n, size, coeffs.tolist())
-        for entry in (lambda: (state.ahat, state.bhat, state.log_density, state.density),
+        for entry in (lambda: (state.min_ahat, state.min_bhat, state.log_density, state.density),
                       lambda: (scalar_curvature(state),),
                       lambda: (futaki_of_state(state),),
                       lambda: attrgetter("h", "c0", "c1")(make_reference(state)),
@@ -248,6 +251,57 @@ def test_e1_energy_path_integral_oracle():
 
     oracle = gauss_path_integral(derivative)
     assert evaluate(ref, phi).e1 == pytest.approx(oracle, abs=1e-5)
+
+
+def _chen_tian_rate(state, values, k):
+    """dE_k at ``state`` in the direction ``values`` by Chen and Tian's
+    variation formula; their Laplacian is half of ``geometry.laplacian``."""
+    cfg, n = state.config, state.config.n
+    rate = (k + 1) * average(0.5 * laplacian(state, values)
+                             * wedge_density(state.ricci, k, state.form, n), cfg)
+    if k < n:
+        rate -= (n - k) * average(values * (wedge_density(state.ricci, k + 1, state.form, n)
+                                            - wedge_density(state.form, k + 1, state.form, n)),
+                                  cfg)
+    return rate
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_chen_tian_variation_formula_gives_nu_and_e1(n):
+    # E_k(phi) = int_0^1 dE_k(t phi)[phi] dt on 12 Gauss-Legendre nodes is nu
+    # at k = 0 and E1 at k = 1, a check that shares none of the mixed-term
+    # weights of their closed forms
+    ref = fubini_study_reference(ManifoldConfig(n=n, grid=build_grid(1024)))
+    for coeffs in ((0.0, 0.2, 0.1, -0.05), (0.0, -0.3, 0.4, 0.1, -0.1)):
+        values = RadialPotential(coeffs).values(ref.grid)
+        energies = evaluate(ref, values)
+        for k, closed in ((0, energies.nu), (1, energies.e1)):
+            path = gauss_path_integral(
+                lambda t: _chen_tian_rate(state_from(ref.state, t * values), values, k), 12)
+            assert abs(path - closed) <= CHEN_TIAN_TOL, (k, coeffs, path - closed)
+
+
+def test_ding_functional_differs_from_nu_by_the_change_of_c0():
+    # Ding's F = -sum_k mixed[k] / (n+1) - log avg(e^(h - phi) ref volume)
+    # and nu differ by c0(omega) - c0(omega_phi) (the Monge-Ampere equation
+    # in Ricci potentials). Over n = 1..3, both references and 4 samples
+    # each, the defect was at most 6.6e-10 at N = 512 and 4.2e-11 at 1024
+    worst = {}
+    for size in (512, 1024):
+        grid = build_grid(size)
+        worst[size] = 0.0
+        for n in (1, 2, 3):
+            cfg = ManifoldConfig(n=n, grid=grid)
+            for coeffs in ((), BENT_COEFFS):
+                ref = make_reference(make_state(cfg, RadialPotential(coeffs)))
+                for phi in sample_admissible(cfg, np.random.default_rng(14), 4, base=ref.state):
+                    energies = evaluate(ref, phi)
+                    ding = -sum(energies.mixed) / (n + 1) - math.log(average(
+                        np.exp(ref.h - energies.centered) * ref.state.density, cfg))
+                    defect = energies.nu - ding - (ref.c0 - re_reference(ref, phi).c0)
+                    worst[size] = max(worst[size], abs(defect))
+    assert worst[1024] <= 1e-10
+    assert worst[512] >= 10.0 * worst[1024]  # the order-4 fall
 
 
 def test_flow_velocity_fixed_point(fs_ref1):

@@ -54,8 +54,9 @@ def test_constant_potential_gives_background(config2):
 def test_make_state_linear_potential_formula(config1):
     state = make_state(config1, RadialPotential((0.0, 0.3)))
     expected = 1.0 + 0.15 * (1.0 - config1.grid.x)
-    assert np.abs(state.bhat - expected).max() < 1e-12
-    assert state.bhat.min() > 0
+    assert np.abs(state.q / 2.0 - expected).max() < 1e-12
+    assert state.min_bhat == float((state.q / 2.0).min()) > 0
+    assert state.min_ahat == float((state.r / 2.0).min())
 
 
 def test_make_state_rejects_steep_potential(config1):
@@ -279,7 +280,7 @@ def test_sampler_determinism_and_margin(config1):
     assert all(pa.coeffs == pb.coeffs for pa, pb in zip(a, b))
     for phi in a:
         state = make_state(config1, phi)
-        assert min(state.ahat.min(), state.bhat.min()) >= 0.3
+        assert min(state.min_ahat, state.min_bhat) >= 0.3
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
