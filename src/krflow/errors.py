@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer test of
+configuration fields."""
+
+import numbers
 
 
 class KrflowError(Exception):
@@ -44,3 +47,9 @@ class FlowAborted(KrflowError):
     def __init__(self, message, trace=None):
         super().__init__(message)
         self.trace = trace
+
+
+def is_int(value):
+    """True for a Python or numpy integer; False for a bool, a float or any
+    other value, which a configuration's integer field rejects."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)

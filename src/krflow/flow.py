@@ -55,7 +55,7 @@ import numpy as np
 
 from . import _kernels, banded
 from .calculus import HALF_BAND, derivative_bands
-from .errors import ConfigError, FlowAborted, NotInPotentialSpace, StepRejected
+from .errors import ConfigError, FlowAborted, NotInPotentialSpace, StepRejected, is_int
 from .functionals import Energies, c_omega_estimate, futaki_of_state, make_reference
 from .geometry import (ManifoldConfig, RadialPotential, scalar_curvature, state_from,
                        state_from_total)
@@ -113,8 +113,8 @@ class FlowConfig:
             raise ConfigError(f"t_max must be positive and finite, got {self.t_max}")
         if self.dt_init is not None and not self.dt_init > 0.0:
             raise ConfigError(f"dt_init must be positive, got {self.dt_init}")
-        if self.record_every < 1:
-            raise ConfigError(f"record_every must be >= 1, got {self.record_every}")
+        if not is_int(self.record_every) or self.record_every < 1:
+            raise ConfigError(f"record_every must be an integer >= 1, got {self.record_every!r}")
 
 
 @dataclass(frozen=True)

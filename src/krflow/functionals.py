@@ -138,9 +138,10 @@ def _entropy_density(state, form):
 
 
 def weighted_sum(coeffs, averages):
-    """sum_k coeffs[k]/(n+1) averages[k], the mixed sums' weighting."""
+    """sum_k coeffs[k]/(n+1) averages[k], the mixed sums' weighting, as a
+    Python float."""
     np1 = len(averages)
-    return sum(coeffs[k] / np1 * averages[k] for k in range(np1))
+    return sum(float(coeffs[k]) / np1 * averages[k] for k in range(np1))
 
 
 class Energies:

@@ -42,7 +42,7 @@ import numpy as np
 
 from . import _kernels
 from .calculus import Grid, d_dx, integrate_ds
-from .errors import ConfigError, NotInPotentialSpace
+from .errors import ConfigError, NotInPotentialSpace, is_int
 
 DEFAULT_DEGREE = 8
 DEFAULT_COEFF_BOUND = 0.3
@@ -58,8 +58,8 @@ class ManifoldConfig:
     grid: Grid
 
     def __post_init__(self):
-        if self.n not in (1, 2, 3):
-            raise ConfigError(f"complex dimension must be 1, 2 or 3, got {self.n}")
+        if not is_int(self.n) or self.n not in (1, 2, 3):
+            raise ConfigError(f"complex dimension must be 1, 2 or 3, got {self.n!r}")
 
     @property
     def volume(self):

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, is_int
 from .calculus import build_grid, d_ds
 from .flow import FlowConfig, run
 from .functionals import (
@@ -211,11 +211,11 @@ class SuiteConfig:
 
     def __post_init__(self):
         # the shift check reads 3 samples, the cocycle checks 3 pairs of them
-        if self.samples < 6:
-            raise ConfigError(f"samples must be at least 6, got {self.samples}")
-        for name in ("fd_pairs", "flow_record_every"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be at least 1, got {getattr(self, name)}")
+        for name, least in (("samples", 6), ("fd_pairs", 1), ("flow_record_every", 1),
+                            ("seed", 0)):
+            value = getattr(self, name)
+            if not is_int(value) or value < least:
+                raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
         for name in ("fd_dt", "flow_t_max"):
             value = getattr(self, name)
             if not 0.0 < value < np.inf:

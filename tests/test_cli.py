@@ -90,8 +90,9 @@ def test_unwritable_output_fails_before_any_work(tmp_path, capsys, monkeypatch, 
 
 def test_imports_add_only_the_pinned_modules():
     # import time is the benchmark's setup_s and each module adds to peak
-    # memory: after numpy, importing krflow adds exactly these top-level
-    # modules, and importing krflow.cli then adds exactly these
+    # memory: after numpy, importing krflow adds only itself (its names load
+    # their submodules when first read), and importing krflow.cli then adds
+    # exactly these top-level modules
     code = ("import sys, numpy\n"
             "def top():\n"
             "    return {name.split('.')[0] for name in sys.modules}\n"
@@ -103,8 +104,24 @@ def test_imports_add_only_the_pinned_modules():
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True).stdout
-    assert out.strip() == ("['copy', 'dataclasses', 'krflow'] "
-                           "['argparse', 'configparser', 'gettext']")
+    assert out.strip() == ("['krflow'] "
+                           "['argparse', 'configparser', 'copy', 'dataclasses', 'gettext']")
+
+
+def test_evaluating_energies_loads_neither_flow_nor_suite():
+    # a caller that only evaluates energies never loads the flow, the banded
+    # solver, the verification suite or the CLI
+    code = ("import sys, krflow\n"
+            "from krflow import (ManifoldConfig, RadialPotential, build_grid, evaluate,\n"
+            "                    fubini_study_reference)\n"
+            "manifold = ManifoldConfig(n=2, grid=build_grid(64))\n"
+            "evaluate(fubini_study_reference(manifold), RadialPotential((0.0, 0.1))).residual\n"
+            "print(sorted(m for m in ('krflow.flow', 'krflow.banded', 'krflow.verification',\n"
+            "                         'krflow.cli') if m in sys.modules))\n")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_verify_unsupported_dimension(tmp_path):

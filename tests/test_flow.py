@@ -341,6 +341,9 @@ def test_short_flow_invariants(small_trace):
 def test_record_row_matches_columns(small_trace):
     row = small_trace.records[0].row()
     assert len(row) == len(TRACE_COLUMNS)
+    # every field is a Python float, so a record's repr shows no np.float64
+    for rec in small_trace.records:
+        assert [type(v) for v in rec.row()] == [float] * len(TRACE_COLUMNS)
 
 
 def test_flow_with_perturbed_reference(small_config):
@@ -970,12 +973,12 @@ def test_potentials_do_not_import_numpy_polynomial():
 def test_flow_maps_no_new_shared_object():
     # the banded LU is found among the libraries numpy already loaded (its
     # bundled scipy-openblas64, the one LAPACK banded.py supports), so the
-    # flow maps no shared object that importing krflow did not already map
+    # flow maps no shared object that importing numpy did not already map
     objects = ("def objects():\n"
                "    with open('/proc/self/maps') as maps:\n"
                "        paths = (line.split()[-1] for line in maps)\n"
                "        return {p for p in paths if '.so' in p.rsplit('/', 1)[-1]}\n")
     _short_flow_in_subprocess(
-        objects + "before = objects()\n",
+        objects + "import numpy\nbefore = objects()\n",
         "assert objects() == before, sorted(objects() - before)\n"
         "assert any('openblas' in p for p in before), sorted(before)\n")

@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+import importlib
 import math
 from operator import attrgetter
 from pathlib import Path
@@ -615,6 +616,7 @@ def test_evaluate_returns_the_energies_of_its_state(n, rng):
     direct = Energies(ref, state_from(ref.state, values), values)
     for name in ("j", "j_mixed", "nu", "e1", "dirichlet", "residual"):
         assert getattr(energies, name).hex() == getattr(direct, name).hex(), name
+        assert type(getattr(energies, name)) is float, name
 
 
 def test_energy_weighting_stays_in_functionals():
@@ -704,6 +706,13 @@ def test_every_exported_name_resolves():
     assert set(krflow.__all__) <= namespace.keys()
     assert len(set(krflow.__all__)) == len(krflow.__all__)
     assert namespace["Energies"] is Energies
+    # each name is read from the submodule that the package's table names,
+    # and that submodule defines it
+    for module, names in krflow._EXPORTS.items():
+        for name in names.split():
+            value = getattr(importlib.import_module(f"krflow.{module}"), name)
+            assert namespace[name] is value and value.__module__ == f"krflow.{module}", name
+    assert set(krflow.__all__) <= set(dir(krflow))
 
 
 def test_state_and_energies_keep_read_only_copies(fs_ref1):

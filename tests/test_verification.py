@@ -208,6 +208,25 @@ def test_suite_config_rejects_too_few_samples_or_pairs(field, value):
     SuiteConfig(samples=6, fd_pairs=1, flow_grid=16, flow_record_every=1)
 
 
+@pytest.mark.parametrize("make, good, bad", [
+    (lambda v: ManifoldConfig(n=v, grid=build_grid(64)), 2, 2.0),
+    (lambda v: ManifoldConfig(n=v, grid=build_grid(64)), 1, True),
+    (lambda v: flow.FlowConfig(manifold=ManifoldConfig(n=1, grid=build_grid(64)),
+                               initial=ZERO, t_max=1.0, record_every=v), 2, 2.5),
+    (lambda v: SuiteConfig(samples=v), 6, 6.5),
+    (lambda v: SuiteConfig(fd_pairs=v), 1, 1.5),
+    (lambda v: SuiteConfig(flow_record_every=v), 1, True),
+    (lambda v: SuiteConfig(seed=v), 0, 2.5),
+])
+def test_integer_config_fields_take_only_integers(make, good, bad):
+    # a float or a bool in an integer field is a configuration error, not a
+    # numpy TypeError at the first evaluation or the first draw, a silent
+    # n = 1 or 7 samples drawn for 6.5; a numpy integer is an integer
+    make(np.int64(good))
+    with pytest.raises(ConfigError, match="must be"):
+        make(bad)
+
+
 def test_suite_default_passes():
     report = run_suite(SuiteConfig(n=1, grid_size=1024))
     failed = [e.name for e in report.entries if not e.passed]
